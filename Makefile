@@ -32,8 +32,8 @@ race:
 	$(GO) test -race ./...
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
-# (optimized vs reference simulators) plus the full-suite wall-clock
-# comparison. Slow — it characterizes the whole suite twice.
+# plus the full-suite wall clock. Slow — it characterizes the whole suite
+# several times.
 bench:
 	$(GO) run ./cmd/albertabench -out BENCH_profiler.json
 
@@ -56,8 +56,8 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./internal/perf/ .
 
 # Full differential sweep: every benchmark × every workload, optimized vs
-# reference event path AND prepared vs cold runs, Reports required
-# bit-identical.
+# test-only reference-oracle profiler AND prepared vs cold runs, Reports
+# required bit-identical.
 diff-full:
 	ALBERTA_DIFF_FULL=1 $(GO) test -run 'TestSuiteDifferentialReference|TestPreparedMatchesColdRuns' -v ./internal/harness/
 

@@ -32,11 +32,11 @@ import (
 )
 
 // benchOpts keeps regeneration runs affordable: one repetition (the modeled
-// measurements are deterministic), moderate event sampling, and the full
-// worker pool — results are bit-identical to a serial run except for
-// WallSeconds, which no regeneration consumes.
+// measurements are deterministic) and the full worker pool — results are
+// bit-identical to a serial run except for WallSeconds, which no
+// regeneration consumes.
 func benchOpts() harness.Options {
-	return harness.Options{Reps: 1, Stride: 2, Workers: runtime.GOMAXPROCS(0)}
+	return harness.Options{Reps: 1, Workers: runtime.GOMAXPROCS(0)}
 }
 
 // runSubSuite measures the named benchmarks only.
@@ -255,7 +255,7 @@ func BenchmarkSingleWorkloads(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				m, err := harness.RunWorkload(context.Background(), bench, w, harness.Options{Reps: 1, Stride: 4})
+				m, err := harness.RunWorkload(context.Background(), bench, w, harness.Options{Reps: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

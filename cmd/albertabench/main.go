@@ -1,9 +1,6 @@
 // Command albertabench measures the profiler event path and maintains the
 // tracked benchmark baseline, BENCH_profiler.json. It times each event
-// microbenchmark twice — once on the optimized simulators and once on the
-// retained pre-optimization reference path (perf.Options.Reference) — and
-// then runs the full characterization suite both ways for the wall-clock
-// comparison:
+// microbenchmark and then the full characterization suite:
 //
 //	albertabench -out BENCH_profiler.json     # regenerate the baseline (make bench)
 //	albertabench -micro                       # microbenchmarks only, print to stdout
@@ -12,7 +9,7 @@
 // The suite section carries a serial row (workers=1) and, on multi-CPU
 // machines, a parallel row (workers=GOMAXPROCS or -workers, the resolved
 // count recorded in the row; a 1-CPU machine omits the row, and an
-// explicit -workers below 2 is an error) — each with the optimized path's
+// explicit -workers below 2 is an error) — each with its
 // allocation profile (allocs/bytes/GC cycles per characterization), which
 // is deterministic and therefore reviewable the same way cycle counts are.
 // A sampled section compares exact characterization against phase-sampled
@@ -21,7 +18,8 @@
 //
 // The microbenchmark bodies mirror internal/perf's go-test benchmarks
 // (BenchmarkLoadHit etc.); the committed JSON is the reviewable record of
-// the speedup.
+// the event path's cost. Historical reference-path timings are frozen in
+// DESIGN.md §10.
 package main
 
 import (
@@ -88,24 +86,19 @@ var micros = []microBench{
 type MicroResult struct {
 	Name       string  `json:"name"`
 	NsPerOpOpt float64 `json:"ns_per_op_opt"`
-	NsPerOpRef float64 `json:"ns_per_op_ref"`
-	Speedup    float64 `json:"speedup"`
 }
 
-// SuiteResult is one full-suite comparison row: wall clock on both event
-// paths plus the allocation profile of the optimized path (heap-allocation
-// counts are deterministic, so they are part of the reviewable record the
-// same way cycles are).
+// SuiteResult is one full-suite row: wall clock plus the allocation
+// profile (heap-allocation counts are deterministic, so they are part of
+// the reviewable record the same way cycles are).
 type SuiteResult struct {
 	// Workers is the actual worker count the row ran with (the parallel
 	// row records the resolved GOMAXPROCS, not a symbolic "all").
 	Workers        int     `json:"workers"`
 	WallSecondsOpt float64 `json:"wall_seconds_opt"`
-	WallSecondsRef float64 `json:"wall_seconds_ref"`
-	ReductionPct   float64 `json:"reduction_pct"`
 	// AllocsPerSuite / BytesPerSuite / GCCycles are runtime.MemStats deltas
-	// (Mallocs, TotalAlloc, NumGC) over one optimized-path characterization
-	// of the whole suite.
+	// (Mallocs, TotalAlloc, NumGC) over one characterization of the whole
+	// suite.
 	AllocsPerSuite uint64 `json:"allocs_per_suite"`
 	BytesPerSuite  uint64 `json:"bytes_per_suite"`
 	GCCycles       uint32 `json:"gc_cycles"`
@@ -158,11 +151,10 @@ type Baseline struct {
 	PerBenchSampled []SampledResult `json:"per_bench_sampled,omitempty"`
 }
 
-// measure times one micro body on one path via the testing package's
-// calibration loop.
-func measure(mb microBench, reference bool) float64 {
+// measure times one micro body via the testing package's calibration loop.
+func measure(mb microBench) float64 {
 	res := testing.Benchmark(func(b *testing.B) {
-		p := perf.NewWithOptions(perf.Options{Reference: reference})
+		p := perf.New()
 		p.Enter("bench")
 		b.ResetTimer()
 		mb.body(p, b.N)
@@ -178,21 +170,16 @@ type suitePass struct {
 	gc     uint32
 }
 
-// runSuite times one full characterization run (reps=1, stride=1, the
-// albertarun defaults apart from repetitions) and captures the allocation
-// delta around it. A forced GC before the pass keeps the NumGC delta from
+// runSuite times one full characterization run (reps=1, the albertarun
+// defaults apart from repetitions) and captures the allocation delta
+// around it. A forced GC before the pass keeps the NumGC delta from
 // charging a previous pass's leftover heap to this one.
-func runSuite(reference bool, workers int) (suitePass, error) {
+func runSuite(workers int) (suitePass, error) {
 	suite, err := benchmarks.CharacterizedSuite()
 	if err != nil {
 		return suitePass{}, err
 	}
-	opts := harness.Options{
-		Reps:      1,
-		Stride:    1,
-		Workers:   workers,
-		Reference: reference,
-	}
+	opts := harness.Options{Reps: 1, Workers: workers}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -210,36 +197,26 @@ func runSuite(reference bool, workers int) (suitePass, error) {
 	}, nil
 }
 
-// measureSuite builds one baseline row: suiteCount interleaved opt/ref
-// passes, per-path minimum wall (noise only inflates), allocation profile
-// from the first optimized pass (allocation counts are deterministic).
+// measureSuite builds one baseline row: minimum wall over suiteCount
+// passes (noise only inflates), allocation profile from the first pass
+// (allocation counts are deterministic).
 func measureSuite(workers, suiteCount int) (*SuiteResult, error) {
 	row := &SuiteResult{Workers: workers}
-	opt, ref := math.Inf(1), math.Inf(1)
+	best := math.Inf(1)
 	for i := 0; i < suiteCount; i++ {
-		fmt.Fprintf(os.Stderr, "albertabench: suite[workers=%d] pass %d/%d (optimized)...\n", workers, i+1, suiteCount)
-		o, err := runSuite(false, workers)
+		fmt.Fprintf(os.Stderr, "albertabench: suite[workers=%d] pass %d/%d...\n", workers, i+1, suiteCount)
+		o, err := runSuite(workers)
 		if err != nil {
 			return nil, err
 		}
-		opt = math.Min(opt, o.wall)
+		best = math.Min(best, o.wall)
 		if i == 0 {
 			row.AllocsPerSuite, row.BytesPerSuite, row.GCCycles = o.allocs, o.bytes, o.gc
 		}
-		fmt.Fprintf(os.Stderr, "albertabench: suite[workers=%d] pass %d/%d (reference)...\n", workers, i+1, suiteCount)
-		r, err := runSuite(true, workers)
-		if err != nil {
-			return nil, err
-		}
-		ref = math.Min(ref, r.wall)
-		fmt.Fprintf(os.Stderr, "albertabench: pass %d: opt %.1fs ref %.1fs (best %.1fs / %.1fs)\n",
-			i+1, o.wall, r.wall, opt, ref)
 	}
-	row.WallSecondsOpt = round2(opt)
-	row.WallSecondsRef = round2(ref)
-	row.ReductionPct = round2((1 - opt/ref) * 100)
-	fmt.Fprintf(os.Stderr, "albertabench: suite[workers=%d] opt %.1fs   ref %.1fs   -%.1f%%   %d allocs / %d bytes / %d GCs\n",
-		workers, opt, ref, row.ReductionPct, row.AllocsPerSuite, row.BytesPerSuite, row.GCCycles)
+	row.WallSecondsOpt = round2(best)
+	fmt.Fprintf(os.Stderr, "albertabench: suite[workers=%d] %.1fs   %d allocs / %d bytes / %d GCs\n",
+		workers, best, row.AllocsPerSuite, row.BytesPerSuite, row.GCCycles)
 	return row, nil
 }
 
@@ -343,7 +320,7 @@ func measurePerBench(benchCount int, only map[string]bool) ([]BenchResult, error
 			runtime.ReadMemStats(&before)
 			start := time.Now()
 			for _, w := range ws {
-				if _, err := harness.RunWorkload(ctx, b, w, harness.Options{Reps: 1, Stride: 1}); err != nil {
+				if _, err := harness.RunWorkload(ctx, b, w, harness.Options{Reps: 1}); err != nil {
 					return nil, err
 				}
 			}
@@ -366,7 +343,7 @@ func measurePerBench(benchCount int, only map[string]bool) ([]BenchResult, error
 func main() {
 	out := flag.String("out", "", "write the baseline JSON to this file (stdout when empty)")
 	microOnly := flag.Bool("micro", false, "skip the full-suite wall-clock comparison")
-	suiteCount := flag.Int("suitecount", 3, "suite timing passes per path; the minimum is recorded")
+	suiteCount := flag.Int("suitecount", 3, "suite timing passes; the minimum is recorded")
 	workers := flag.Int("workers", 0, "worker count for the parallel suite row (0 = GOMAXPROCS; explicit values below 2 are an error)")
 	sampledOnly := flag.Bool("sampled", false, "measure only the exact-vs-sampled comparison rows (suite + per benchmark)")
 	check := flag.String("check", "", "re-run the microbenchmarks and compare against this baseline JSON (warn-only)")
@@ -392,20 +369,13 @@ func main() {
 	}
 }
 
-// measureMicros times the microbenchmark set on both paths.
+// measureMicros times the microbenchmark set.
 func measureMicros() []MicroResult {
 	var out []MicroResult
 	for _, mb := range micros {
-		opt := measure(mb, false)
-		ref := measure(mb, true)
-		out = append(out, MicroResult{
-			Name:       mb.name,
-			NsPerOpOpt: round2(opt),
-			NsPerOpRef: round2(ref),
-			Speedup:    round2(ref / opt),
-		})
-		fmt.Fprintf(os.Stderr, "albertabench: %-12s opt %8.2f ns/op   ref %8.2f ns/op   %.2fx\n",
-			mb.name, opt, ref, ref/opt)
+		ns := measure(mb)
+		out = append(out, MicroResult{Name: mb.name, NsPerOpOpt: round2(ns)})
+		fmt.Fprintf(os.Stderr, "albertabench: %-12s %8.2f ns/op\n", mb.name, ns)
 	}
 	return out
 }
@@ -424,10 +394,8 @@ func run(out string, microOnly bool, suiteCount, workers int) error {
 	base.Micro = measureMicros()
 
 	if !microOnly {
-		// Alternate opt/ref passes and keep the per-path minimum: wall-clock
-		// noise only ever inflates a measurement, so the minimum is the
-		// noise-robust estimator, and interleaving decorrelates slow drift
-		// (thermal, co-tenant load) from the opt/ref comparison.
+		// Keep the minimum over passes: wall-clock noise only ever inflates
+		// a measurement, so the minimum is the noise-robust estimator.
 		var err error
 		if base.Suite, err = measureSuite(1, suiteCount); err != nil {
 			return err
@@ -506,21 +474,13 @@ func runCheck(path string, tol float64) error {
 		if !ok {
 			return fmt.Errorf("micro %q missing from baseline %s: regenerate with make bench", f.Name, path)
 		}
-		for _, c := range []struct {
-			field    string
-			old, new float64
-		}{
-			{"opt", r.NsPerOpOpt, f.NsPerOpOpt},
-			{"ref", r.NsPerOpRef, f.NsPerOpRef},
-		} {
-			if c.old <= 0 {
-				continue
-			}
-			if dev := c.new/c.old - 1; dev > tol || dev < -tol {
-				warns++
-				fmt.Fprintf(os.Stderr, "albertabench: WARN %s/%s drifted %+.0f%% (baseline %.2f ns/op, now %.2f ns/op, band ±%.0f%%)\n",
-					f.Name, c.field, dev*100, c.old, c.new, tol*100)
-			}
+		if r.NsPerOpOpt <= 0 {
+			continue
+		}
+		if dev := f.NsPerOpOpt/r.NsPerOpOpt - 1; dev > tol || dev < -tol {
+			warns++
+			fmt.Fprintf(os.Stderr, "albertabench: WARN %s drifted %+.0f%% (baseline %.2f ns/op, now %.2f ns/op, band ±%.0f%%)\n",
+				f.Name, dev*100, r.NsPerOpOpt, f.NsPerOpOpt, tol*100)
 		}
 	}
 	if warns == 0 {

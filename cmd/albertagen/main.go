@@ -35,7 +35,6 @@ type config struct {
 	verify  bool
 	jsonOut bool
 	outDir  string
-	stride  int
 }
 
 func main() {
@@ -47,7 +46,6 @@ func main() {
 	flag.BoolVar(&cfg.verify, "verify", true, "run each generated workload to verify it")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit a versioned generation manifest as JSON (implies -verify)")
 	flag.StringVar(&cfg.outDir, "out", "", "write workloads with a natural file format to this directory")
-	flag.IntVar(&cfg.stride, "stride", 4, "profiler event sampling stride used for verification")
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "albertagen:", err)
@@ -162,7 +160,7 @@ func generate(cfg *config, targets []core.Benchmark) (*Manifest, error) {
 func oneWorkload(cfg *config, b core.Benchmark, w core.Workload) (WorkloadManifest, error) {
 	wm := WorkloadManifest{Name: w.WorkloadName(), Kind: w.WorkloadKind()}
 	if cfg.verify {
-		p := perf.NewWithOptions(perf.Options{Stride: cfg.stride})
+		p := perf.New()
 		res, err := b.Run(w, p)
 		if err != nil {
 			return wm, fmt.Errorf("%s/%s: %w", b.Name(), w.WorkloadName(), err)

@@ -9,13 +9,12 @@
 //	albertarun -bench 557.xz_r  # restrict to one benchmark
 //	albertarun -parallel 8      # bound the measurement worker pool
 //	albertarun -table2 -json    # versioned report.Suite envelope on stdout
-//	albertarun -reference       # retained pre-optimization event path
 //	albertarun -cpuprofile cpu.pprof -memprofile mem.pprof
 //	                            # pprof profiles of the run itself
 //	albertarun -memstats        # allocation totals of the run on stderr
 //
 // With -json, the selected modes are emitted together as one
-// report.Suite envelope (schema_version 1) — the same document the
+// report.Suite envelope (schema_version 2) — the same document the
 // albertad service serves — with the raw measurements always included.
 //
 // A SIGINT cancels the run: outstanding measurements are abandoned and the
@@ -45,13 +44,11 @@ import (
 type config struct {
 	bench      string
 	reps       int
-	stride     int
 	parallel   int
 	failFast   bool
 	jsonOut    bool
 	verbose    bool
 	clusterK   int
-	reference  bool
 	sampled    bool
 	interval   uint64
 	phases     int
@@ -75,10 +72,8 @@ type config struct {
 func (c *config) options() harness.Options {
 	opts := harness.Options{
 		Reps:            c.reps,
-		Stride:          c.stride,
 		Workers:         c.parallel,
 		FailFast:        c.failFast,
-		Reference:       c.reference,
 		Sampled:         c.sampled,
 		SampledInterval: c.interval,
 		SampledPhases:   c.phases,
@@ -151,12 +146,10 @@ func main() {
 	flag.IntVar(&cfg.clusterK, "cluster", 0, "cluster each benchmark's workloads into k groups (Berube workload reduction)")
 	flag.StringVar(&cfg.bench, "bench", "", "restrict to one benchmark (e.g. 505.mcf_r)")
 	flag.IntVar(&cfg.reps, "reps", def.Reps, "repetitions per workload (paper: 3)")
-	flag.IntVar(&cfg.stride, "stride", def.Stride, "profiler event sampling stride (1 = exact)")
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "measurement worker pool size (1 = serial)")
 	flag.BoolVar(&cfg.failFast, "failfast", false, "abort the whole run on the first measurement error")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one versioned report.Suite envelope (schema_version 1) instead of text")
+	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one versioned report.Suite envelope (schema_version 2) instead of text")
 	flag.BoolVar(&cfg.verbose, "v", false, "report per-workload progress on stderr")
-	flag.BoolVar(&cfg.reference, "reference", false, "run the retained pre-optimization profiler event path (bit-identical results, slower)")
 	flag.BoolVar(&cfg.sampled, "sampled", false, "phase-sampled simulation: cluster BBV intervals, simulate representatives, extrapolate probe counters")
 	flag.Uint64Var(&cfg.interval, "interval", 0, "sampled-mode profiling interval in retired ops (0 = default)")
 	flag.IntVar(&cfg.phases, "phases", 0, "sampled-mode phase cluster count k (0 = default)")
@@ -265,7 +258,7 @@ func run(ctx context.Context, cfg *config, selected map[string]*bool) error {
 }
 
 // runEnvelope is the -json path: the selected modes become sections of a
-// single report.Suite envelope — the same schema_version 1 document the
+// single report.Suite envelope — the same schema_version 2 document the
 // albertad service serves — with the raw measurements always included.
 func runEnvelope(ctx context.Context, cfg *config, suite *core.Suite, active []mode) error {
 	sections := report.Sections{Measurements: true}

@@ -49,7 +49,6 @@ type config struct {
 	features    string
 	clusterSeed int64
 	reps        int
-	stride      int
 	parallel    int
 	jsonOut     bool
 	verbose     bool
@@ -70,7 +69,6 @@ func main() {
 	flag.StringVar(&cfg.features, "features", "combined", "cluster feature space: combined, topdown or coverage")
 	flag.Int64Var(&cfg.clusterSeed, "cluster-seed", 0, "k-medoids initialization seed (0 = canonical)")
 	flag.IntVar(&cfg.reps, "reps", def.Reps, "repetitions per workload")
-	flag.IntVar(&cfg.stride, "stride", def.Stride, "profiler event sampling stride (1 = exact)")
 	flag.IntVar(&cfg.parallel, "parallel", runtime.GOMAXPROCS(0), "measurement worker pool size (1 = serial)")
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the sweep report as JSON instead of text")
 	flag.BoolVar(&cfg.verbose, "v", false, "report per-cell progress on stderr")
@@ -112,7 +110,7 @@ func run(ctx context.Context, cfg *config) error {
 	}
 	// A sweep reduction needs every cell, so the first failure aborts the
 	// whole run rather than leaving a silently partial workload space.
-	opts := harness.Options{Reps: cfg.reps, Stride: cfg.stride, Workers: cfg.parallel, FailFast: true}
+	opts := harness.Options{Reps: cfg.reps, Workers: cfg.parallel, FailFast: true}
 	if cfg.verbose {
 		opts.Progress = func(e harness.Event) {
 			switch e.Kind {

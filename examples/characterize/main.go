@@ -45,7 +45,7 @@ func main() {
 	}
 
 	results, err := harness.RunSuite(context.Background(), suite,
-		harness.Options{Reps: *reps, Stride: 2, Workers: *parallel})
+		harness.Options{Reps: *reps, Workers: *parallel})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func main() {
 			log.Fatalf("%s: %v", b.Name(), err)
 		}
 		for _, w := range ws {
-			p := perf.NewWithOptions(perf.Options{Stride: 8})
+			p := perf.New()
 			res, err := b.Run(w, p)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", b.Name(), w.WorkloadName(), err)

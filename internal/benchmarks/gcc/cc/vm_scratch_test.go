@@ -32,7 +32,7 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(sc *Scratch) (RunResult, perf.Report) {
-		p := perf.NewWithOptions(perf.Options{Stride: 1})
+		p := perf.New()
 		res, err := Run(unit, VMOptions{Prof: p, Scratch: sc})
 		if err != nil {
 			t.Fatal(err)

@@ -217,7 +217,7 @@ func TestGeneratedWorkloadsValidateAtHeavyShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, i := range []int{29, 59, 89} {
-			if _, err := b.Run(ws[i], perf.NewWithOptions(perf.Options{Stride: 64})); err != nil {
+			if _, err := b.Run(ws[i], perf.New()); err != nil {
 				t.Errorf("seed %d index %d: %v", seed, i, err)
 			}
 		}

@@ -109,12 +109,12 @@ func TestGeneratorSameSeedDeterminism(t *testing.T) {
 		}
 		// Execute the first workload of each generation: checksums and the
 		// full modeled report must be bit-identical.
-		pa := perf.NewWithOptions(perf.Options{Stride: 4})
+		pa := perf.New()
 		ra, err := b.Run(a[0], pa)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", b.Name(), a[0].WorkloadName(), err)
 		}
-		pc := perf.NewWithOptions(perf.Options{Stride: 4})
+		pc := perf.New()
 		rc, err := b.Run(c[0], pc)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", b.Name(), c[0].WorkloadName(), err)

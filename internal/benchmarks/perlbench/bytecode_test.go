@@ -18,7 +18,7 @@ func treeRun(t *testing.T, src string, corpus []string, limit uint64) (string, u
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	p := perf.NewWithOptions(perf.Options{Stride: 1})
+	p := perf.New()
 	i := NewInterp(p)
 	if limit > 0 {
 		i.limit = limit
@@ -47,7 +47,7 @@ func bcRun(t *testing.T, src string, corpus []string, limit uint64) (string, uin
 	if limit == 0 {
 		limit = interpStepLimit
 	}
-	p := perf.NewWithOptions(perf.Options{Stride: 1})
+	p := perf.New()
 	p.SetFootprint("pp_eval", 6<<10)
 	p.SetFootprint("regex_match", 4<<10)
 	p.SetFootprint("hash_ops", 3<<10)
@@ -213,7 +213,7 @@ func TestPreparedScratchReuse(t *testing.T) {
 	var first core.Result
 	var firstRep perf.Report
 	for rep := 0; rep < 4; rep++ {
-		p := perf.NewWithOptions(perf.Options{Stride: 1})
+		p := perf.New()
 		res, err := pwp.Execute(p)
 		if err != nil {
 			t.Fatal(err)

@@ -153,12 +153,12 @@ func TestTrainAndRefrateDiffer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p1 := perf.NewWithOptions(perf.Options{Stride: 4})
+			p1 := perf.New()
 			r1, err := b.Run(train, p1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p2 := perf.NewWithOptions(perf.Options{Stride: 4})
+			p2 := perf.New()
 			r2, err := b.Run(ref, p2)
 			if err != nil {
 				t.Fatal(err)

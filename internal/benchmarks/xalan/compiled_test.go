@@ -24,12 +24,12 @@ func runBoth(t *testing.T, xml, ss string) (string, string, perf.Report, perf.Re
 		t.Fatalf("parse xml: %v", err)
 	}
 
-	p1 := perf.NewWithOptions(perf.Options{Stride: 1})
+	p1 := perf.New()
 	treeOut := NewTransformer(sheet, p1).Transform(doc)
 	r1 := p1.Report()
 	r1.WallTime = 0
 
-	p2 := perf.NewWithOptions(perf.Options{Stride: 1})
+	p2 := perf.New()
 	compOut := compileSheet(sheet).transform(doc, p2)
 	r2 := p2.Report()
 	r2.WallTime = 0
@@ -113,7 +113,7 @@ func TestPreparedUsesCompiledSheet(t *testing.T) {
 	var first core.Result
 	var firstRep perf.Report
 	for rep := 0; rep < 4; rep++ {
-		p := perf.NewWithOptions(perf.Options{Stride: 1})
+		p := perf.New()
 		res, err := pwp.Execute(p)
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,11 @@ import (
 
 // TestSuiteDifferentialReference replays benchmark workloads through the
 // optimized event path and the retained pre-optimization reference path
-// (Options.Reference) and requires bit-identical Measurements — the proof
-// that the event-path rewrite changed no Report anywhere in the suite.
+// (perf.Options.Reference) and requires bit-identical checksums and full
+// perf.Reports — every method row, counter and coverage share, with only
+// WallTime zeroed — the proof that the event-path rewrite changed no Report
+// anywhere in the suite. A Measurement is derived from the Report, so this
+// is at least as strong as comparing Measurements.
 //
 // By default every benchmark runs its test and train workloads, which keeps
 // the sweep affordable on one core. Set ALBERTA_DIFF_FULL=1 (CI does, in a
@@ -30,7 +33,6 @@ func TestSuiteDifferentialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	pairs := 0
 	for _, b := range suite.Benchmarks() {
 		ws, err := b.Workloads()
@@ -46,17 +48,13 @@ func TestSuiteDifferentialReference(t *testing.T) {
 			b, w := b, w
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				opt, err := RunWorkload(ctx, b, w, Options{Reps: 1, Stride: 1})
-				if err != nil {
-					t.Fatal(err)
+				opt, optSum := profileOnce(t, b, w, perf.New())
+				ref, refSum := profileOnce(t, b, w, perf.NewWithOptions(perf.Options{Reference: true}))
+				if optSum != refSum {
+					t.Errorf("checksum: optimized %x, reference %x", optSum, refSum)
 				}
-				ref, err := RunWorkload(ctx, b, w, Options{Reps: 1, Stride: 1, Reference: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt.WallSeconds, ref.WallSeconds = 0, 0
 				if !reflect.DeepEqual(opt, ref) {
-					t.Errorf("optimized measurement diverges from reference\noptimized: %+v\nreference: %+v", opt, ref)
+					t.Errorf("optimized report diverges from reference\noptimized: %+v\nreference: %+v", opt, ref)
 				}
 			})
 		}
@@ -64,6 +62,23 @@ func TestSuiteDifferentialReference(t *testing.T) {
 	if pairs == 0 {
 		t.Fatal("no workloads selected")
 	}
+}
+
+// profileOnce prepares w and executes it once on the fresh profiler p,
+// returning the full Report with WallTime zeroed and the checksum.
+func profileOnce(t *testing.T, b core.Benchmark, w core.Workload, p *perf.Profiler) (perf.Report, uint64) {
+	t.Helper()
+	pw, err := core.PrepareOrRun(b, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pw.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpt := p.Report()
+	rpt.WallTime = 0
+	return rpt, res.Checksum
 }
 
 // TestPreparedMatchesColdRuns is the prepared-workload acceptance sweep: a
@@ -105,7 +120,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 			b, w := b, w
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				p := perf.NewWithOptions(perf.Options{Stride: 1})
+				p := perf.New()
 				res, err := b.Run(w, p)
 				if err != nil {
 					t.Fatal(err)
@@ -119,7 +134,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 				// this also proves recycled prepared state (bytecode
 				// scratches, VM arenas, compiled sheets) is bit-stable
 				// across ≥3 consecutive Executes.
-				m, err := RunWorkload(ctx, b, w, Options{Reps: 3, Stride: 1})
+				m, err := RunWorkload(ctx, b, w, Options{Reps: 3})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,7 +160,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 
 // TestCompiledEnginesRecycleFullReports drives the three bytecode-compiled
 // interpreter benchmarks — perlbench, gcc and xalan — through one Prepare
-// and four consecutive Executes each on fresh stride-1 profilers, and
+// and four consecutive Executes each on fresh profilers, and
 // requires the complete perf.Report (methods, coverage, cycles, top-down,
 // every counter) to be bit-identical run over run. This is a stronger
 // per-Execute assertion than the harness sweep above, which compares the
@@ -181,7 +196,7 @@ func TestCompiledEnginesRecycleFullReports(t *testing.T) {
 				var first perf.Report
 				var firstSum uint64
 				for rep := 0; rep < 4; rep++ {
-					p := perf.NewWithOptions(perf.Options{Stride: 1})
+					p := perf.New()
 					res, err := pw.Execute(p)
 					if err != nil {
 						t.Fatal(err)

@@ -9,7 +9,7 @@
 // Runner.
 //
 // Result data types live in the internal/harness/report package, which
-// defines the versioned JSON envelope (report.Suite, schema_version 1)
+// defines the versioned JSON envelope (report.Suite, schema_version 2)
 // shared by every result frontend. This package exports only the run
 // surface — Options, Runner, RunSuite/RunBenchmark/RunWorkload and the
 // progress Event contract; the historical aliases over report types were
@@ -40,17 +40,9 @@ type Options struct {
 	// are deterministic, so repetitions serve as a determinism check and
 	// wall-time averaging.
 	Reps int
-	// Stride sub-samples profiler event simulation (1 = exact; Normalize
-	// defaults zero to 1).
-	Stride int
 	// IncludeTest keeps the SPEC test inputs (excluded by default, as in
 	// the paper).
 	IncludeTest bool
-	// Reference runs the profiler's retained pre-optimization event path
-	// (see perf.Options.Reference). Measurements are bit-identical to the
-	// optimized path except WallSeconds; the option exists for differential
-	// testing and for the tracked benchmark baseline.
-	Reference bool
 	// Workers bounds the number of (benchmark, workload) measurements in
 	// flight at once. Zero or negative means runtime.GOMAXPROCS(0);
 	// Workers = 1 reproduces the serial path. Every measurement uses its
@@ -63,8 +55,7 @@ type Options struct {
 	// representative intervals, a warm pass checkpoints simulator state at
 	// the plan's restore points, and the measure passes fully simulate only
 	// the representatives, extrapolating probe-derived counters by cluster
-	// weight. Architectural counters and checksums stay exact. Incompatible
-	// with Reference and with Stride > 1.
+	// weight. Architectural counters and checksums stay exact.
 	Sampled bool
 	// SampledInterval is the sampled-mode profiling interval in retired
 	// ops; Normalize defaults zero to perf.DefaultSampleInterval.
@@ -85,26 +76,19 @@ type Options struct {
 
 // DefaultOptions mirror the paper's methodology. They are exactly the
 // normalized zero Options.
-func DefaultOptions() Options { return Options{Reps: 3, Stride: 1} }
+func DefaultOptions() Options { return Options{Reps: 3} }
 
 // Normalize is the single place run options are defaulted and validated:
-// zero Reps becomes the paper's three repetitions, zero Stride becomes
-// exact simulation, negative Workers becomes the GOMAXPROCS sentinel
-// zero, and negative Reps or Stride are rejected. Every run entry point
-// (RunWorkload, Runner.Run, albertarun, albertad) goes through it, so
-// there is no flag-side duplicate of these rules.
+// zero Reps becomes the paper's three repetitions, negative Workers
+// becomes the GOMAXPROCS sentinel zero, and negative Reps are rejected.
+// Every run entry point (RunWorkload, Runner.Run, albertarun, albertad)
+// goes through it, so there is no flag-side duplicate of these rules.
 func (o Options) Normalize() (Options, error) {
 	if o.Reps < 0 {
 		return o, fmt.Errorf("harness: reps must be >= 1 (got %d)", o.Reps)
 	}
 	if o.Reps == 0 {
 		o.Reps = 3
-	}
-	if o.Stride < 0 {
-		return o, fmt.Errorf("harness: stride must be >= 1 (got %d)", o.Stride)
-	}
-	if o.Stride == 0 {
-		o.Stride = 1
 	}
 	if o.Workers < 0 {
 		o.Workers = 0
@@ -114,12 +98,6 @@ func (o Options) Normalize() (Options, error) {
 			return o, fmt.Errorf("harness: sampled interval/phases require sampled mode")
 		}
 		return o, nil
-	}
-	if o.Reference {
-		return o, fmt.Errorf("harness: sampled mode is incompatible with the reference event path")
-	}
-	if o.Stride > 1 {
-		return o, fmt.Errorf("harness: sampled mode is incompatible with stride %d (sampling already sub-samples)", o.Stride)
 	}
 	if o.SampledPhases < 0 {
 		return o, fmt.Errorf("harness: sampled phases must be >= 1 (got %d)", o.SampledPhases)
@@ -139,9 +117,7 @@ func (o Options) Normalize() (Options, error) {
 func (o Options) ReportConfig() report.RunConfig {
 	cfg := report.RunConfig{
 		Reps:        o.Reps,
-		Stride:      o.Stride,
 		IncludeTest: o.IncludeTest,
-		Reference:   o.Reference,
 	}
 	if o.Sampled {
 		cfg.Sampled = true
@@ -168,8 +144,7 @@ func RunWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 	if err != nil {
 		return report.Measurement{}, err
 	}
-	return runWorkload(ctx, b, w, opts,
-		perf.NewWithOptions(perf.Options{Stride: opts.Stride, Reference: opts.Reference}))
+	return runWorkload(ctx, b, w, opts, perf.New())
 }
 
 // runWorkload is RunWorkload on a caller-supplied profiler, which must be

@@ -45,7 +45,7 @@ func (q *quickBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error)
 	}, nil
 }
 
-func quickOpts() Options { return Options{Reps: 2, Stride: 1} }
+func quickOpts() Options { return Options{Reps: 2} }
 
 func TestRunWorkloadRepetitionsAgree(t *testing.T) {
 	b := &quickBench{name: "900.quick_r"}
@@ -220,14 +220,13 @@ func TestKindBreakdown(t *testing.T) {
 }
 
 func TestRealBenchmarkThroughHarness(t *testing.T) {
-	// End-to-end smoke: the xz benchmark through the full harness with
-	// stride sampling for speed.
+	// End-to-end smoke: the xz benchmark through the full harness.
 	b := xz.New()
 	w, err := core.FindWorkload(b, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunWorkload(context.Background(), b, w, Options{Reps: 2, Stride: 4})
+	m, err := RunWorkload(context.Background(), b, w, Options{Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

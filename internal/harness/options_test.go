@@ -13,16 +13,16 @@ func TestNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := DefaultOptions()
-	if got.Reps != def.Reps || got.Stride != def.Stride || got.Workers != def.Workers {
+	if got.Reps != def.Reps || got.Workers != def.Workers {
 		t.Errorf("normalized zero Options = %+v, want DefaultOptions %+v", got, def)
 	}
 	// Explicit values pass through untouched.
-	o := Options{Reps: 5, Stride: 2, Workers: 7, IncludeTest: true, Reference: true, FailFast: true}
+	o := Options{Reps: 5, Workers: 7, IncludeTest: true, FailFast: true}
 	got, err = o.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Reps != 5 || got.Stride != 2 || got.Workers != 7 || !got.IncludeTest || !got.Reference || !got.FailFast {
+	if got.Reps != 5 || got.Workers != 7 || !got.IncludeTest || !got.FailFast {
 		t.Errorf("explicit options mangled: %+v", got)
 	}
 	// Negative workers collapse to the GOMAXPROCS sentinel.
@@ -35,9 +35,6 @@ func TestNormalizeDefaults(t *testing.T) {
 func TestNormalizeRejectsNegatives(t *testing.T) {
 	if _, err := (Options{Reps: -1}).Normalize(); err == nil {
 		t.Error("negative reps accepted")
-	}
-	if _, err := (Options{Stride: -2}).Normalize(); err == nil {
-		t.Error("negative stride accepted")
 	}
 }
 
@@ -54,18 +51,18 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(s, Options{Stride: -1}).Run(context.Background()); err == nil {
-		t.Error("Runner.Run accepted negative stride")
+	if _, err := NewRunner(s, Options{Reps: -1}).Run(context.Background()); err == nil {
+		t.Error("Runner.Run accepted negative reps")
 	}
 }
 
 func TestReportConfig(t *testing.T) {
-	o, err := Options{Reps: 2, Stride: 4, IncludeTest: true, Reference: true, Workers: 9}.Normalize()
+	o, err := Options{Reps: 2, IncludeTest: true, Workers: 9}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := o.ReportConfig()
-	if rc.Reps != 2 || rc.Stride != 4 || !rc.IncludeTest || !rc.Reference {
+	if rc.Reps != 2 || !rc.IncludeTest {
 		t.Errorf("ReportConfig = %+v", rc)
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 // SchemaVersion is the version of the Suite JSON layout emitted by this
 // tree. See the package comment for the bump policy.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // RunConfig is the result-affecting subset of the harness run options,
 // recorded in the envelope so a consumer knows how the measurements were
@@ -36,18 +36,12 @@ type RunConfig struct {
 	// Reps is the number of repetitions each workload was executed.
 	// It affects only the WallSeconds averaging, never the modeled fields.
 	Reps int `json:"reps"`
-	// Stride is the profiler's event-sampling stride (1 = exact).
-	Stride int `json:"stride"`
 	// IncludeTest records whether SPEC test inputs were measured.
 	IncludeTest bool `json:"include_test"`
-	// Reference records whether the retained pre-optimization event path
-	// was used (bit-identical modeled fields, different wall time).
-	Reference bool `json:"reference"`
 	// Sampled records whether measurements were taken by phase-sampled
 	// simulation; SampledInterval and SampledPhases are its profiling
 	// interval (retired ops) and cluster count. All three are omitted from
-	// exact envelopes, keeping them byte-identical to pre-sampling schema
-	// version 1.
+	// exact envelopes, which therefore carry no sampling keys at all.
 	Sampled         bool   `json:"sampled,omitempty"`
 	SampledInterval uint64 `json:"sampled_interval,omitempty"`
 	SampledPhases   int    `json:"sampled_phases,omitempty"`
@@ -124,8 +118,8 @@ func ParseSections(names []string) (Sections, error) {
 // equal envelopes is byte-identical, which the service's result cache
 // relies on.
 type Suite struct {
-	SchemaVersion int      `json:"schema_version"`
-	Benchmarks    []string `json:"benchmarks"`
+	SchemaVersion int       `json:"schema_version"`
+	Benchmarks    []string  `json:"benchmarks"`
 	Config        RunConfig `json:"config"`
 
 	Measurements Results          `json:"measurements,omitempty"`

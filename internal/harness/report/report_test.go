@@ -37,7 +37,7 @@ func fakeResults() Results {
 
 func TestBuildAllSections(t *testing.T) {
 	res := fakeResults()
-	s, err := Build(res, RunConfig{Reps: 1, Stride: 1}, BuildOptions{Sections: AllSections()})
+	s, err := Build(res, RunConfig{Reps: 1}, BuildOptions{Sections: AllSections()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestBuildAllSections(t *testing.T) {
 
 func TestBuildSectionSelection(t *testing.T) {
 	res := fakeResults()
-	s, err := Build(res, RunConfig{Reps: 1, Stride: 1}, BuildOptions{Sections: Sections{Table2: true}})
+	s, err := Build(res, RunConfig{Reps: 1}, BuildOptions{Sections: Sections{Table2: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEncodeDeterministic(t *testing.T) {
 	res := fakeResults()
 	var docs [][]byte
 	for i := 0; i < 3; i++ {
-		s, err := Build(res, RunConfig{Reps: 3, Stride: 1}, BuildOptions{Sections: AllSections()})
+		s, err := Build(res, RunConfig{Reps: 3}, BuildOptions{Sections: AllSections()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,16 +92,18 @@ func TestEncodeDeterministic(t *testing.T) {
 	if !bytes.Equal(docs[0], docs[1]) || !bytes.Equal(docs[1], docs[2]) {
 		t.Error("Encode is not byte-deterministic for equal envelopes")
 	}
-	if !strings.Contains(string(docs[0]), "\"schema_version\": 1") {
+	if !strings.Contains(string(docs[0]), "\"schema_version\": 2") {
 		t.Errorf("missing schema_version in:\n%.200s", docs[0])
 	}
 }
 
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	if _, err := Decode([]byte(`{"schema_version": 999}`)); err == nil {
-		t.Error("wrong schema_version accepted")
+	for _, v := range []string{"999", "1"} {
+		if _, err := Decode([]byte(`{"schema_version": ` + v + `}`)); err == nil {
+			t.Errorf("schema_version %s accepted", v)
+		}
 	}
-	s, err := Decode([]byte(`{"schema_version": 1, "benchmarks": ["x"]}`))
+	s, err := Decode([]byte(`{"schema_version": 2, "benchmarks": ["x"]}`))
 	if err != nil || len(s.Benchmarks) != 1 {
 		t.Errorf("decode: %v %+v", err, s)
 	}

@@ -28,8 +28,8 @@ type Measurement struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// Sampled marks a measurement taken by phase-sampled simulation:
 	// probe-derived fields are extrapolated from representative intervals,
-	// not exact. Exact measurements omit the key, so their envelopes are
-	// byte-identical to schema version 1 before sampling existed.
+	// not exact. Exact measurements omit the key, so their bytes are the
+	// same as before sampling existed.
 	Sampled bool `json:"sampled,omitempty"`
 }
 

@@ -243,7 +243,7 @@ func (r *Runner) Stream(ctx context.Context, sink Sink) error {
 					continue // drain after cancellation
 				}
 				if prof == nil {
-					prof = perf.NewWithOptions(perf.Options{Stride: opts.Stride, Reference: opts.Reference})
+					prof = perf.New()
 				} else {
 					prof.Reset()
 				}

@@ -114,7 +114,7 @@ func TestRunnerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var done atomic.Int64
-	opts := Options{Reps: 1, Stride: 1, Workers: 2, Progress: func(e Event) {
+	opts := Options{Reps: 1, Workers: 2, Progress: func(e Event) {
 		if e.Kind == EventWorkloadDone && done.Add(1) == 1 {
 			cancel()
 		}

@@ -135,8 +135,6 @@ func TestSampledOptionsNormalize(t *testing.T) {
 		t.Fatalf("ReportConfig dropped sampled fields: %+v", cfg)
 	}
 	for _, bad := range []Options{
-		{Sampled: true, Reference: true},
-		{Sampled: true, Stride: 2},
 		{Sampled: true, SampledPhases: -1},
 		{SampledInterval: 1 << 10},
 		{SampledPhases: 4},
@@ -148,14 +146,14 @@ func TestSampledOptionsNormalize(t *testing.T) {
 }
 
 // TestExactEnvelopeOmitsSampledKeys: exact measurements and configs must
-// serialize without any sampled key, keeping schema version 1 envelopes
-// byte-identical to those produced before sampling existed.
+// serialize without any sampled key, keeping exact envelopes byte-identical
+// to those produced before sampling existed.
 func TestExactEnvelopeOmitsSampledKeys(t *testing.T) {
 	mb, err := json.Marshal(report.Measurement{Benchmark: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := json.Marshal(report.RunConfig{Reps: 3, Stride: 1})
+	cb, err := json.Marshal(report.RunConfig{Reps: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,9 @@ import "repro/internal/uarch"
 // same-line memo (see classifyLoad) collapse runs of consecutive same-line
 // accesses into a single hierarchy probe.
 //
-// Two conditions force the literal per-event fallback:
-//
-//   - Stride > 1: the sampling phase (memTick/brTick) must advance exactly
-//     as the decomposition would advance it.
-//   - Options.Reference: the reference path is the retained pre-optimization
-//     event path, which had no batched forms.
+// Options.Reference forces the literal per-event fallback: the reference
+// path is the retained pre-optimization event path, which had no batched
+// forms.
 //
 // Phase-sampled passes (see sampled.go) keep the batched forms but handle
 // them at batch granularity: the whole batch commits to the interval that
@@ -33,7 +30,7 @@ import "repro/internal/uarch"
 // exactly `for k := 0..n-1 { Load(base + k*stride) }`, with the per-load
 // bookkeeping hoisted out of the loop.
 func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
 			p.Load(base + k*stride)
 		}
@@ -68,7 +65,7 @@ func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
 // StoreRange records n stores at base, base+stride, ...: exactly
 // `for k := 0..n-1 { Store(base + k*stride) }`.
 func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
 			p.Store(base + k*stride)
 		}
@@ -102,7 +99,7 @@ func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
 // kernels: exactly `Load(addr); Store(addr)`. The store's probe is always
 // coalesced by the memo — the load just made the line MRU.
 func (p *Profiler) LoadStore(addr uint64) {
-	if p.stride != 1 || p.ref != nil {
+	if p.ref != nil {
 		p.Load(addr)
 		p.Store(addr)
 		return
@@ -131,7 +128,7 @@ func (p *Profiler) LoadStore(addr uint64) {
 // LoadStoreRange records n load/store pairs at base, base+stride, ...:
 // exactly `for k := 0..n-1 { Load(base + k*stride); Store(base + k*stride) }`.
 func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
-	if p.stride != 1 || p.ref != nil {
+	if p.ref != nil {
 		for k := uint64(0); k < n; k++ {
 			addr := base + k*stride
 			p.Load(addr)
@@ -202,25 +199,14 @@ func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
 		return
 	}
 	p.fetch(m, n)
-	if p.stride == 1 {
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
-		return
-	}
-	p.brTick++
-	if p.brTick >= p.stride {
-		p.brTick = 0
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
+	m.sBranches++
+	if !p.observe(m.codeBase+site*8, taken) {
+		m.sMispredicts++
 	}
 }
 
-// classifyLoad probes the hierarchy for one sampled load and folds the
-// outcome into the method's sampled counters. On the optimized path a
+// classifyLoad probes the hierarchy for one load and folds the
+// outcome into the method's probe-outcome counters. On the optimized path a
 // repeat of the last probed line is skipped: it is a guaranteed L1+DTLB MRU
 // hit (same line ⇒ same page; touching an MRU way of a true-LRU set is the
 // identity; an L1 hit never reaches L2/LLC), and HitL1 without a TLB miss
@@ -246,7 +232,7 @@ func (p *Profiler) classifyLoad(m *methodRecord, addr uint64) {
 	}
 }
 
-// storeProbe probes the hierarchy for one sampled store (TLB outcome only),
+// storeProbe probes the hierarchy for one store (TLB outcome only),
 // with the same same-line memo as classifyLoad.
 func (p *Profiler) storeProbe(m *methodRecord, addr uint64) {
 	if line := addr >> p.memShift; p.ref == nil {

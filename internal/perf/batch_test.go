@@ -54,7 +54,7 @@ func batchWorkload(p *Profiler, batched bool) {
 					p.Store(addr)
 				}
 			}
-			// Interleave non-batched events so fetch and sampling state is
+			// Interleave non-batched events so fetch and memo state is
 			// exercised between batches too.
 			p.LongOps(2)
 			p.Branch(11, i%5 != 0)
@@ -64,20 +64,18 @@ func batchWorkload(p *Profiler, batched bool) {
 
 // TestBatchedMatchesPerEvent holds every batched API to its documented
 // per-event decomposition: Reports must be bit-identical, on both the
-// coalescing stride-1 path and the fallback sampled path.
+// coalescing optimized path and the per-event reference fallback.
 func TestBatchedMatchesPerEvent(t *testing.T) {
-	for _, stride := range []int{1, 4} {
-		for _, reference := range []bool{false, true} {
-			opts := Options{Stride: stride, Reference: reference}
-			pb := NewWithOptions(opts)
-			batchWorkload(pb, true)
-			pe := NewWithOptions(opts)
-			batchWorkload(pe, false)
-			rb, re := stripTiming(pb.Report()), stripTiming(pe.Report())
-			if !reflect.DeepEqual(rb, re) {
-				t.Errorf("stride=%d reference=%v: batched report diverges from per-event\nbatched:   %+v\nper-event: %+v",
-					stride, reference, rb.Total, re.Total)
-			}
+	for _, reference := range []bool{false, true} {
+		opts := Options{Reference: reference}
+		pb := NewWithOptions(opts)
+		batchWorkload(pb, true)
+		pe := NewWithOptions(opts)
+		batchWorkload(pe, false)
+		rb, re := stripTiming(pb.Report()), stripTiming(pe.Report())
+		if !reflect.DeepEqual(rb, re) {
+			t.Errorf("reference=%v: batched report diverges from per-event\nbatched:   %+v\nper-event: %+v",
+				reference, rb.Total, re.Total)
 		}
 	}
 }
@@ -86,17 +84,15 @@ func TestBatchedMatchesPerEvent(t *testing.T) {
 // optimized simulators and the retained pre-optimization ones: the whole
 // point of the rewrite is that Reports do not change.
 func TestReferencePathBitIdentical(t *testing.T) {
-	for _, stride := range []int{1, 4} {
-		for _, batched := range []bool{false, true} {
-			opt := NewWithOptions(Options{Stride: stride})
-			batchWorkload(opt, batched)
-			ref := NewWithOptions(Options{Stride: stride, Reference: true})
-			batchWorkload(ref, batched)
-			ro, rr := stripTiming(opt.Report()), stripTiming(ref.Report())
-			if !reflect.DeepEqual(ro, rr) {
-				t.Errorf("stride=%d batched=%v: optimized report diverges from reference\noptimized: %+v\nreference: %+v",
-					stride, batched, ro.Total, rr.Total)
-			}
+	for _, batched := range []bool{false, true} {
+		opt := New()
+		batchWorkload(opt, batched)
+		ref := NewWithOptions(Options{Reference: true})
+		batchWorkload(ref, batched)
+		ro, rr := stripTiming(opt.Report()), stripTiming(ref.Report())
+		if !reflect.DeepEqual(ro, rr) {
+			t.Errorf("batched=%v: optimized report diverges from reference\noptimized: %+v\nreference: %+v",
+				batched, ro.Total, rr.Total)
 		}
 	}
 }
@@ -105,7 +101,7 @@ func TestReferencePathBitIdentical(t *testing.T) {
 // after Reset, an identical event stream must yield an identical Report.
 func TestProfilerReset(t *testing.T) {
 	for _, reference := range []bool{false, true} {
-		p := NewWithOptions(Options{Stride: 2, Reference: reference})
+		p := NewWithOptions(Options{Reference: reference})
 		batchWorkload(p, true)
 		first := stripTiming(p.Report())
 		p.Reset()
@@ -115,55 +111,5 @@ func TestProfilerReset(t *testing.T) {
 			t.Errorf("reference=%v: report after Reset diverges\nfirst:  %+v\nsecond: %+v",
 				reference, first.Total, second.Total)
 		}
-	}
-}
-
-// TestStrideSamplingTolerance checks that stride sub-sampling keeps the
-// scaled memory-side outcome counts within a factor of the exact stride-1
-// simulation, for per-event and batched issue alike.
-func TestStrideSamplingTolerance(t *testing.T) {
-	run := func(stride int, batched bool) (l2, mem, tlb uint64) {
-		p := NewWithOptions(Options{Stride: stride})
-		state := uint64(7)
-		p.Do("m", func() {
-			for i := 0; i < 30000; i++ {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				addr := state % (64 << 20)
-				// Page-distinct accesses: stride sub-sampling picks a
-				// uniform subset, so scaling back up is unbiased. (Runs of
-				// same-page accesses would bias the TLB estimate: sampling
-				// preferentially drops the guaranteed-hit repeats.)
-				if batched {
-					p.LoadRange(addr, 5<<10, 4)
-				} else {
-					for k := uint64(0); k < 4; k++ {
-						p.Load(addr + k*(5<<10))
-					}
-				}
-			}
-		})
-		rep := p.Report()
-		return rep.Total.L2Hits, rep.Total.MemHits, rep.Total.TLBMisses
-	}
-	for _, batched := range []bool{false, true} {
-		el2, emem, etlb := run(1, batched)
-		sl2, smem, stlb := run(8, batched)
-		if emem == 0 || etlb == 0 {
-			t.Fatalf("batched=%v: expected misses on a streaming working set (mem=%d tlb=%d)", batched, emem, etlb)
-		}
-		check := func(name string, exact, sampled uint64) {
-			if exact == 0 {
-				return
-			}
-			ratio := float64(sampled) / float64(exact)
-			if ratio < 0.5 || ratio > 2.0 {
-				t.Errorf("batched=%v: stride-8 %s %d vs exact %d (ratio %v)", batched, name, sampled, exact, ratio)
-			}
-		}
-		check("l2 hits", el2, sl2)
-		check("mem hits", emem, smem)
-		check("tlb misses", etlb, stlb)
 	}
 }

@@ -38,19 +38,12 @@ type Options struct {
 	// Model supplies the slot cost parameters; zero value means
 	// uarch.DefaultModel.
 	Model uarch.Model
-	// Predictor constructs the branch predictor; nil means a tournament
-	// predictor.
-	Predictor uarch.Predictor
-	// Stride sub-samples expensive event simulation: only every Stride-th
-	// Branch/Load/Store is routed through the simulators and the observed
-	// outcome mix is scaled back up. Stride ≤ 1 simulates everything.
-	Stride int
 	// Reference selects the retained pre-optimization event path: reference
-	// simulators (uarch.RefHierarchy, uarch.RefCache, uarch.RefTournament
-	// unless Predictor is set) and per-event decomposition of the batched
-	// APIs. Reports are bit-identical to the optimized path — the option
-	// exists so differential tests and the benchmark baseline can compare
-	// the two in place.
+	// simulators (uarch.RefHierarchy, uarch.RefCache, uarch.RefTournament)
+	// and per-event decomposition of the batched APIs. Reports are
+	// bit-identical to the optimized path. It is a test oracle, not a run
+	// mode: only differential tests set it, to compare the two paths in
+	// place.
 	Reference bool
 }
 
@@ -66,7 +59,7 @@ type methodRecord struct {
 	loads, stores    uint64
 	icMiss, itlbMiss uint64
 
-	// Sampled outcome counts (scaled by stride at report time).
+	// Simulator probe outcome counts.
 	sBranches, sMispredicts           uint64
 	sLoads, sL2, sLLC, sMem, sTLBMiss uint64
 
@@ -83,14 +76,10 @@ type methodRecord struct {
 // (SPEC CPU rate runs are independent copies).
 type Profiler struct {
 	model uarch.Model
-	pred  uarch.Predictor
-	// tour devirtualizes the default predictor: when pred is the concrete
-	// *uarch.Tournament, the branch hot path calls it directly instead of
-	// through the interface.
-	tour *uarch.Tournament
-	mem  *uarch.Hierarchy
-	l1i  *uarch.Cache
-	itlb *uarch.Cache
+	tour  *uarch.Tournament
+	mem   *uarch.Hierarchy
+	l1i   *uarch.Cache
+	itlb  *uarch.Cache
 
 	// ref, when non-nil, routes every simulator probe through the retained
 	// pre-optimization models instead (see Options.Reference). The hot path
@@ -115,10 +104,6 @@ type Profiler struct {
 	lastData  uint64
 	lastFetch uint64
 
-	stride  int
-	brTick  int
-	memTick int
-
 	methods map[string]*methodRecord
 	order   []string
 	stack   []*methodRecord
@@ -134,6 +119,7 @@ type Profiler struct {
 
 // refSims bundles the reference simulators of the pre-optimization path.
 type refSims struct {
+	tour *uarch.RefTournament
 	mem  *uarch.RefHierarchy
 	l1i  *uarch.RefCache
 	itlb *uarch.RefCache
@@ -148,38 +134,23 @@ func NewWithOptions(opts Options) *Profiler {
 	if model.IssueWidth == 0 {
 		model = uarch.DefaultModel()
 	}
-	pred := opts.Predictor
-	if pred == nil {
-		if opts.Reference {
-			pred = uarch.NewRefTournament(14)
-		} else {
-			pred = uarch.NewTournament(14)
-		}
-	}
-	stride := opts.Stride
-	if stride < 1 {
-		stride = 1
-	}
 	p := &Profiler{
 		model:     model,
-		pred:      pred,
-		stride:    stride,
 		methods:   make(map[string]*methodRecord),
 		started:   time.Now(),
 		lastData:  ^uint64(0),
 		lastFetch: ^uint64(0),
 	}
-	if t, ok := pred.(*uarch.Tournament); ok {
-		p.tour = t
-	}
 	if opts.Reference {
 		p.ref = &refSims{
+			tour: uarch.NewRefTournament(14),
 			mem:  uarch.NewRefHierarchy(),
 			l1i:  uarch.NewRefCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
 			itlb: uarch.NewRefCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
 		}
 		p.memShift = 6
 	} else {
+		p.tour = uarch.NewTournament(14)
 		p.mem = uarch.NewHierarchy()
 		p.l1i = uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64})
 		p.itlb = uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096})
@@ -188,10 +159,6 @@ func NewWithOptions(opts Options) *Profiler {
 	p.current = p.method("(toplevel)")
 	return p
 }
-
-// Reference reports whether the profiler runs the retained pre-optimization
-// event path.
-func (p *Profiler) Reference() bool { return p.ref != nil }
 
 // memAccess routes a data access through the modeled (or reference)
 // hierarchy.
@@ -232,18 +199,17 @@ func (p *Profiler) itlbAccess(addr uint64) bool {
 // retained insertion order because it sorts by (cycles, name) and skips
 // methods that observed no events.
 func (p *Profiler) Reset() {
-	p.pred.Reset()
 	if p.ref != nil {
+		p.ref.tour.Reset()
 		p.ref.mem.Reset()
 		p.ref.l1i.Reset()
 		p.ref.itlb.Reset()
 	} else {
+		p.tour.Reset()
 		p.mem.Reset()
 		p.l1i.Reset()
 		p.itlb.Reset()
 	}
-	p.brTick = 0
-	p.memTick = 0
 	p.lastData = ^uint64(0)
 	p.lastFetch = ^uint64(0)
 	// Reset leaves sampled mode: each sampled pass is re-entered explicitly
@@ -408,13 +374,12 @@ func (p *Profiler) LongOps(n uint64) {
 	p.fetch(m, n)
 }
 
-// observe routes a sampled branch to the predictor, devirtualized when the
-// default tournament is in use.
+// observe routes a branch to the modeled (or reference) predictor.
 func (p *Profiler) observe(site uint64, taken bool) bool {
-	if p.tour != nil {
-		return p.tour.Observe(site, taken)
+	if p.ref != nil {
+		return p.ref.tour.Observe(site, taken)
 	}
-	return p.pred.Observe(site, taken)
+	return p.tour.Observe(site, taken)
 }
 
 // Branch records a dynamic conditional branch at the given site (any value
@@ -444,21 +409,9 @@ func (p *Profiler) Branch(site uint64, taken bool) {
 		p.sampAdvance(1)
 		return
 	}
-	if p.stride == 1 {
-		// Exact simulation: every branch is sampled and brTick stays 0.
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
-		return
-	}
-	p.brTick++
-	if p.brTick >= p.stride {
-		p.brTick = 0
-		m.sBranches++
-		if !p.observe(m.codeBase+site*8, taken) {
-			m.sMispredicts++
-		}
+	m.sBranches++
+	if !p.observe(m.codeBase+site*8, taken) {
+		m.sMispredicts++
 	}
 }
 
@@ -492,12 +445,8 @@ func (p *Profiler) Load(addr uint64) {
 		p.sampAdvance(1)
 		return
 	}
-	p.memTick++
-	if p.memTick >= p.stride {
-		p.memTick = 0
-		m.sLoads++
-		p.classifyLoad(m, addr)
-	}
+	m.sLoads++
+	p.classifyLoad(m, addr)
 }
 
 // Store records a data store to addr. Stores allocate in the hierarchy but
@@ -519,27 +468,23 @@ func (p *Profiler) Store(addr uint64) {
 		p.sampAdvance(1)
 		return
 	}
-	p.memTick++
-	if p.memTick >= p.stride {
-		p.memTick = 0
-		p.storeProbe(m, addr)
-	}
+	p.storeProbe(m, addr)
 }
 
-// events converts a method record to scaled uarch events.
-func (m *methodRecord) events(stride uint64) uarch.Events {
+// events converts a method record to uarch events.
+func (m *methodRecord) events() uarch.Events {
 	return uarch.Events{
 		Ops:         m.ops,
 		LongOps:     m.longOps,
 		Branches:    m.branches,
 		Taken:       m.taken,
-		Mispredicts: m.sMispredicts * stride,
+		Mispredicts: m.sMispredicts,
 		Loads:       m.loads,
 		Stores:      m.stores,
-		L2Hits:      m.sL2 * stride,
-		LLCHits:     m.sLLC * stride,
-		MemHits:     m.sMem * stride,
-		TLBMisses:   m.sTLBMiss * stride,
+		L2Hits:      m.sL2,
+		LLCHits:     m.sLLC,
+		MemHits:     m.sMem,
+		TLBMisses:   m.sTLBMiss,
 		ICMisses:    m.icMiss,
 		ITLBMisses:  m.itlbMiss,
 	}
@@ -582,14 +527,13 @@ func (p *Profiler) Report() Report {
 	if s := p.samp; s != nil && !s.profiling && !s.warming {
 		s.finishMeasure()
 	}
-	stride := uint64(p.stride)
 	var total uarch.Events
 	var totalSlots uarch.Slots
 	rep := Report{Coverage: stats.Coverage{}, Methods: p.methodBuf[:0]}
 
 	for _, name := range p.order {
 		m := p.methods[name]
-		ev := m.events(stride)
+		ev := m.events()
 		slots := p.model.Account(ev)
 		if slots.Total() == 0 {
 			continue

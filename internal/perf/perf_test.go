@@ -161,33 +161,6 @@ func TestProfilerCodeFootprintMatters(t *testing.T) {
 	}
 }
 
-func TestProfilerStrideScaling(t *testing.T) {
-	// With stride sampling, scaled mispredict counts should be within a
-	// reasonable factor of the exact ones.
-	run := func(stride int) uint64 {
-		p := NewWithOptions(Options{Stride: stride})
-		state := uint64(12345)
-		p.Do("s", func() {
-			for i := 0; i < 50000; i++ {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				p.Branch(0, state&1 == 0)
-			}
-		})
-		return p.Report().Total.Mispredicts
-	}
-	exact := run(1)
-	sampled := run(8)
-	if exact == 0 {
-		t.Fatal("expected mispredicts on random branches")
-	}
-	ratio := float64(sampled) / float64(exact)
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Errorf("stride-8 mispredicts %d vs exact %d (ratio %v)", sampled, exact, ratio)
-	}
-}
-
 func TestProfilerDeterminism(t *testing.T) {
 	run := func() Report {
 		p := New()

@@ -214,20 +214,14 @@ type sampState struct {
 func (p *Profiler) Sampled() bool { return p.samp != nil }
 
 // sampleModeError returns why this profiler cannot enter sampled mode, or
-// nil. Sampling composes with neither stride sub-sampling (two extrapolation
-// layers would compound) nor the reference path (whose simulators have no
-// checkpoint support), and checkpointing requires the concrete default
-// tournament predictor.
+// nil. Sampling does not compose with the reference path, whose simulators
+// have no checkpoint support.
 func (p *Profiler) sampleModeError() error {
 	switch {
 	case p.samp != nil:
 		return fmt.Errorf("perf: already in a sampled pass")
 	case p.ref != nil:
 		return fmt.Errorf("perf: sampled mode is incompatible with the reference path")
-	case p.stride != 1:
-		return fmt.Errorf("perf: sampled mode requires stride 1 (got %d)", p.stride)
-	case p.tour == nil:
-		return fmt.Errorf("perf: sampled mode requires the default tournament predictor")
 	}
 	return nil
 }

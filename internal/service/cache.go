@@ -24,8 +24,8 @@ import (
 //   - the build identity (module version/sum and Go version from the
 //     embedded build info — a rebuilt binary may model differently),
 //   - the benchmark and workload names,
-//   - the normalized measurement-affecting config (reps, stride,
-//     reference).
+//   - the normalized measurement-affecting config (reps and the sampling
+//     knobs).
 //
 // Presentation knobs — the section selection and the Figure 2 top-N fold —
 // and matrix-selection knobs — include_test, the benchmark list — are
@@ -41,7 +41,7 @@ func cellKey(benchmark, workload string, cfg report.RunConfig) string {
 			bi.GoVersion, bi.Main.Path, bi.Main.Version, bi.Main.Sum)
 	}
 	fmt.Fprintf(h, "benchmark=%s workload=%s\n", benchmark, workload)
-	fmt.Fprintf(h, "reps=%d stride=%d reference=%t\n", cfg.Reps, cfg.Stride, cfg.Reference)
+	fmt.Fprintf(h, "reps=%d\n", cfg.Reps)
 	// Sampled measurements extrapolate probe counters, so a sampled cell
 	// and its exact twin must never alias; the interval and phase knobs
 	// change the plan and with it every extrapolated field.

@@ -540,13 +540,13 @@ func TestCacheEndpoints(t *testing.T) {
 // an exact job resolves a cell, a sampled job for the same matrix point
 // must execute, not hit the cache.
 func TestSampledCellKeyDistinct(t *testing.T) {
-	exact := report.RunConfig{Reps: 1, Stride: 1}
-	sampled := report.RunConfig{Reps: 1, Stride: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 16}
+	exact := report.RunConfig{Reps: 1}
+	sampled := report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 16}
 	keys := map[string]string{
 		"exact":    cellKey("b", "w", exact),
 		"sampled":  cellKey("b", "w", sampled),
-		"interval": cellKey("b", "w", report.RunConfig{Reps: 1, Stride: 1, Sampled: true, SampledInterval: 32 << 10, SampledPhases: 16}),
-		"phases":   cellKey("b", "w", report.RunConfig{Reps: 1, Stride: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 8}),
+		"interval": cellKey("b", "w", report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 32 << 10, SampledPhases: 16}),
+		"phases":   cellKey("b", "w", report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 8}),
 	}
 	seen := map[string]string{}
 	for name, k := range keys {

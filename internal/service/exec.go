@@ -106,7 +106,7 @@ func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunC
 	}
 	defer func() { <-s.localSem }()
 	opts := harness.Options{
-		Reps: cfg.Reps, Stride: cfg.Stride, Reference: cfg.Reference,
+		Reps:    cfg.Reps,
 		Sampled: cfg.Sampled, SampledInterval: cfg.SampledInterval, SampledPhases: cfg.SampledPhases,
 	}
 	m, err := harness.RunWorkload(ctx, c.bench, c.w, opts)
@@ -251,8 +251,6 @@ func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := harness.Options{
 		Reps:            req.Config.Reps,
-		Stride:          req.Config.Stride,
-		Reference:       req.Config.Reference,
 		Sampled:         req.Config.Sampled,
 		SampledInterval: req.Config.SampledInterval,
 		SampledPhases:   req.Config.SampledPhases,

@@ -20,7 +20,7 @@ const (
 
 // JobRequest is the body of POST /v1/jobs. Zero values take the harness
 // defaults: empty benchmarks = the whole suite, empty sections = all,
-// zero reps/stride from harness.Options.Normalize, figure2_top_n 0 = 6.
+// zero reps from harness.Options.Normalize, figure2_top_n 0 = 6.
 type JobRequest struct {
 	Benchmarks  []string         `json:"benchmarks,omitempty"`
 	Config      report.RunConfig `json:"config"`

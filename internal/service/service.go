@@ -520,16 +520,14 @@ func (n normalized) cellKeys() []string {
 
 // normalizeRequest validates a JobRequest against the suite and collapses
 // it to canonical form, the single place request-side defaults live: the
-// harness's own Options.Normalize supplies reps/stride defaults, empty
+// harness's own Options.Normalize supplies the reps default, empty
 // benchmark lists mean the whole suite, empty section lists mean all.
 // The request is planned into cells here; include_test widens the plan
 // but is not part of any cell's identity.
 func (s *Server) normalizeRequest(req JobRequest) (normalized, error) {
 	opts, err := harness.Options{
 		Reps:            req.Config.Reps,
-		Stride:          req.Config.Stride,
 		IncludeTest:     req.Config.IncludeTest,
-		Reference:       req.Config.Reference,
 		Sampled:         req.Config.Sampled,
 		SampledInterval: req.Config.SampledInterval,
 		SampledPhases:   req.Config.SampledPhases,

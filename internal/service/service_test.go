@@ -135,7 +135,6 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown benchmark", `{"benchmarks": ["999.ghost_r"]}`},
 		{"duplicate benchmark", `{"benchmarks": ["990.count_r", "990.count_r"]}`},
 		{"negative reps", `{"config": {"reps": -1}}`},
-		{"negative stride", `{"config": {"stride": -2}}`},
 		{"unknown section", `{"sections": ["bogus"]}`},
 		{"negative top n", `{"figure2_top_n": -1}`},
 	}
@@ -146,6 +145,31 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		if doc["error"] == "" || doc["schema_version"] != float64(report.SchemaVersion) {
 			t.Errorf("%s: error envelope = %v", tc.name, doc)
+		}
+	}
+}
+
+// TestRetiredConfigFieldsRejected: a request that sends the retired stride
+// or reference config field must fail loudly — a 400 error envelope naming
+// the field — on every endpoint that takes a run config, rather than being
+// measured under a config it did not ask for.
+func TestRetiredConfigFieldsRejected(t *testing.T) {
+	s := newTestServer(t)
+	bodies := map[string]string{
+		"/v1/jobs":          `{"config": {%s}}`,
+		"/v1/sweeps":        `{"config": {%s}}`,
+		"/v1/cells:execute": `{"benchmark": "990.count_r", "workload": "train", "config": {%s}}`,
+	}
+	for path, body := range bodies {
+		for field, value := range map[string]string{"stride": "1", "reference": "false"} {
+			rec, doc := doJSON(t, s.Handler(), "POST", path, fmt.Sprintf(body, `"`+field+`": `+value))
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s with %s: status = %d, want 400", path, field, rec.Code)
+			}
+			msg, _ := doc["error"].(string)
+			if !strings.Contains(msg, `"`+field+`"`) || doc["schema_version"] != float64(report.SchemaVersion) {
+				t.Errorf("%s with %s: error envelope = %v", path, field, doc)
+			}
 		}
 	}
 }
@@ -171,7 +195,7 @@ func TestJobLifecycle(t *testing.T) {
 	if len(env.Benchmarks) != 1 || env.Benchmarks[0] != "990.count_r" || env.Table2 == nil {
 		t.Errorf("envelope = %+v", env)
 	}
-	if env.Config.Reps != 1 || env.Config.Stride != 1 {
+	if env.Config.Reps != 1 {
 		t.Errorf("config not normalized: %+v", env.Config)
 	}
 
@@ -413,7 +437,7 @@ func TestBenchmarksEndpoint(t *testing.T) {
 }
 
 func TestCellKey(t *testing.T) {
-	base := report.RunConfig{Reps: 3, Stride: 1}
+	base := report.RunConfig{Reps: 3}
 	k1 := cellKey("990.count_r", "train", base)
 	if k2 := cellKey("990.count_r", "train", base); k2 != k1 {
 		t.Error("equal inputs produced different keys")
@@ -424,15 +448,12 @@ func TestCellKey(t *testing.T) {
 	c2 := base
 	c2.Reps = 4
 	c3 := base
-	c3.Stride = 2
-	c4 := base
-	c4.Reference = true
+	c3.Sampled = true
 	distinct := []string{
 		cellKey("991.other_r", "train", base),
 		cellKey("990.count_r", "refrate", base),
 		cellKey("990.count_r", "train", c2),
 		cellKey("990.count_r", "train", c3),
-		cellKey("990.count_r", "train", c4),
 	}
 	for i, v := range distinct {
 		if seen[v] {

@@ -42,7 +42,7 @@ type SweepRequest struct {
 	// the sweep holds at most Window unreported measurements, however many
 	// cells the plan has.
 	Window int `json:"window,omitempty"`
-	// Config is the measurement configuration (reps, stride, sampling) —
+	// Config is the measurement configuration (reps, sampling) —
 	// part of every cell's cache identity, exactly as in POST /v1/jobs.
 	Config report.RunConfig `json:"config"`
 }
@@ -136,8 +136,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := harness.Options{
 		Reps:            req.Config.Reps,
-		Stride:          req.Config.Stride,
-		Reference:       req.Config.Reference,
 		Sampled:         req.Config.Sampled,
 		SampledInterval: req.Config.SampledInterval,
 		SampledPhases:   req.Config.SampledPhases,
