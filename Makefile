@@ -20,9 +20,10 @@ lint-sarif:
 
 # Race + goroutine-leak gate for the concurrent packages: their TestMain
 # runs under internal/leakcheck, so any goroutine surviving the package
-# run fails it even when every test passes.
+# run fails it even when every test passes. internal/harness holds
+# ForEach, the one bounded fan-out the other two run their cells on.
 leak-race:
-	$(GO) test -race -count=1 ./internal/service/... ./internal/cluster/...
+	$(GO) test -race -count=1 ./internal/service/... ./internal/cluster/... ./internal/harness/...
 
 test:
 	$(GO) test ./...

@@ -1,7 +1,7 @@
 // Command albertad is the characterization service: a long-running HTTP
 // daemon that runs the benchmark × workload matrix on demand and serves
 // the results through the versioned report.Suite envelope — the same
-// schema_version 1 document `albertarun -json` emits.
+// schema_version 2 document `albertarun -json` emits.
 //
 //	albertad -addr :8080 -parallel 4 -jobs 1 -queue 16
 //	albertad -addr :8081 -worker                      # worker daemon
@@ -42,9 +42,21 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/benchmarks"
 	"repro/internal/service"
+)
+
+// Connection bounds for untrusted clients. There is no write timeout:
+// job event streams and sweeps answer for as long as their cells run.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may sit idle
+	// between requests.
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -91,7 +103,12 @@ func run(addr string, parallel, jobs, queue, fanout int, workers []string, worke
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() {
 		mode := "serving"

@@ -3,22 +3,27 @@
 // summaries, and the per-workload series behind Figures 1 and 2.
 //
 // The matrix is executed by a Runner, which fans (benchmark, workload)
-// pairs out over a bounded worker pool and assembles results in
-// deterministic inventory order regardless of scheduling. RunSuite,
-// RunBenchmark and RunWorkload are thin convenience wrappers over the
-// Runner.
+// pairs out over ForEach and assembles results in deterministic inventory
+// order regardless of scheduling. ForEach is the repo's one bounded
+// fan-out — albertad's jobs and sweeps run their cells on it too — and
+// runWorkload, through which every local measurement passes, is the one
+// place a panicking benchmark is recovered into that cell's error.
+// RunSuite, RunBenchmark and RunWorkload are thin convenience wrappers
+// over the Runner.
 //
 // Result data types live in the internal/harness/report package, which
 // defines the versioned JSON envelope (report.Suite, schema_version 2)
 // shared by every result frontend. This package exports only the run
-// surface — Options, Runner, RunSuite/RunBenchmark/RunWorkload and the
-// progress Event contract; the historical aliases over report types were
+// surface — Options, Runner, ForEach, RunSuite/RunBenchmark/RunWorkload
+// and the progress Event contract; the historical aliases over report types were
 // removed after their one-release deprecation window.
 package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/core"
@@ -147,12 +152,24 @@ func RunWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 	return runWorkload(ctx, b, w, opts, perf.New())
 }
 
+// errPanic marks a measurement error recovered from a panicking benchmark.
+var errPanic = errors.New("panic")
+
 // runWorkload is RunWorkload on a caller-supplied profiler, which must be
 // freshly constructed or Reset, and normalized Options. The Runner's
 // workers recycle one profiler each across all their cells through it, so
 // a whole suite run constructs Workers profilers instead of one per cell.
-func runWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Options, p *perf.Profiler) (report.Measurement, error) {
-	var m report.Measurement
+//
+// A panic in prepare or execute is recovered into an error wrapping
+// errPanic that names the cell and carries the stack: every local
+// execution — the Runner's and albertad's — passes through here, so one
+// bad cell fails only itself.
+func runWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Options, p *perf.Profiler) (m report.Measurement, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = report.Measurement{}, fmt.Errorf("harness: %s/%s: %w: %v\n%s", b.Name(), w.WorkloadName(), errPanic, r, debug.Stack())
+		}
+	}()
 	pw, err := core.PrepareOrRun(b, w)
 	if err != nil {
 		return report.Measurement{}, fmt.Errorf("harness: %s/%s: prepare: %w", b.Name(), w.WorkloadName(), err)

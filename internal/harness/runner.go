@@ -138,7 +138,7 @@ type Cell struct {
 type Sink func(Cell, report.Measurement) error
 
 // Runner executes a run plan — a suite's benchmark × workload matrix or
-// an explicit Unit list — over a bounded worker pool. Each worker owns
+// an explicit Unit list — on ForEach's bounded worker pool. Each worker owns
 // one perf.Profiler and recycles it across its cells via Reset; no
 // profiler state flows between measurements, so results are bit-identical
 // across worker counts except for WallSeconds.
@@ -204,112 +204,88 @@ func (r *Runner) Stream(ctx context.Context, sink Sink) error {
 		return err
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Each unit writes only its own errs slot, so the slice needs no
-	// lock; mu guards the shared progress counter and serializes both
-	// Progress calls and sink deliveries.
+	// Each unit writes only its own errs slot and each worker only its
+	// own profs slot, so neither slice needs a lock; mu guards the shared
+	// progress counter and serializes both Progress calls and sink
+	// deliveries.
 	errs := make([]*WorkloadError, len(units))
+	profs := make([]*perf.Profiler, min(workers, len(units)))
 	var (
 		mu        sync.Mutex
-		wg        sync.WaitGroup
-		completed int
-		firstErr  error // first failure by completion time (FailFast)
-		sinkErr   error // first sink rejection; stops further deliveries
+		completed int  //lint:guardedby mu
+		sinkDone  bool //lint:guardedby mu — a sink rejected a cell; deliver no more
 	)
 	emit := func(e Event) {
 		if opts.Progress != nil {
 			opts.Progress(e)
 		}
 	}
-
-	jobs := make(chan int)
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			// Each worker owns one profiler for its whole share of the
-			// matrix: Reset recycles it between cells, so a run constructs
-			// `workers` profilers instead of one per cell. Recycling is
-			// Report-invariant — a Reset profiler reproduces a fresh
-			// profiler's Report exactly (perf's tests assert it), so
-			// results stay bit-identical across worker counts except for
-			// WallSeconds.
-			var prof *perf.Profiler
-			for idx := range jobs {
-				u := units[idx]
-				if runCtx.Err() != nil {
-					continue // drain after cancellation
+	err = ForEach(ctx, len(units), workers, func(ctx context.Context, worker, idx int) error {
+		u := units[idx]
+		// Each worker owns one profiler for its whole share of the
+		// matrix: Reset recycles it between cells, so a run constructs
+		// `workers` profilers instead of one per cell. Recycling is
+		// Report-invariant — a Reset profiler reproduces a fresh
+		// profiler's Report exactly (perf's tests assert it), so results
+		// stay bit-identical across worker counts except for WallSeconds.
+		prof := profs[worker]
+		if prof == nil {
+			prof = perf.New()
+			profs[worker] = prof
+		} else {
+			prof.Reset()
+		}
+		mu.Lock()
+		emit(Event{Kind: EventWorkloadStart, Benchmark: u.Benchmark.Name(),
+			Workload: u.Workload.WorkloadName(), Completed: completed, Total: len(units)})
+		mu.Unlock()
+		m, err := runWorkload(ctx, u.Benchmark, u.Workload, opts, prof)
+		if errors.Is(err, errPanic) {
+			// The panic may have left the profiler mid-pass; build the
+			// worker's next one from scratch rather than Reset it.
+			profs[worker] = nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		completed++
+		switch {
+		case err == nil:
+			emit(Event{Kind: EventWorkloadDone, Benchmark: u.Benchmark.Name(),
+				Workload: u.Workload.WorkloadName(), Completed: completed, Total: len(units)})
+			// The measurement leaves the runner here: after sink
+			// returns, no reference survives, so the live set is
+			// bounded by the worker count.
+			if sink != nil && !sinkDone {
+				cell := Cell{Index: idx, Total: len(units),
+					Benchmark: u.Benchmark.Name(), Workload: u.Workload.WorkloadName()}
+				if serr := sink(cell, m); serr != nil {
+					sinkDone = true
+					return fmt.Errorf("harness: sink: %w", serr)
 				}
-				if prof == nil {
-					prof = perf.New()
-				} else {
-					prof.Reset()
-				}
-				mu.Lock()
-				emit(Event{Kind: EventWorkloadStart, Benchmark: u.Benchmark.Name(),
-					Workload: u.Workload.WorkloadName(), Completed: completed, Total: len(units)})
-				mu.Unlock()
-				m, err := runWorkload(runCtx, u.Benchmark, u.Workload, opts, prof)
-				mu.Lock()
-				completed++
-				switch {
-				case err == nil:
-					emit(Event{Kind: EventWorkloadDone, Benchmark: u.Benchmark.Name(),
-						Workload: u.Workload.WorkloadName(), Completed: completed, Total: len(units)})
-					// The measurement leaves the runner here: after sink
-					// returns, no reference survives, so the live set is
-					// bounded by the worker count.
-					if sink != nil && sinkErr == nil {
-						cell := Cell{Index: idx, Total: len(units),
-							Benchmark: u.Benchmark.Name(), Workload: u.Workload.WorkloadName()}
-						if serr := sink(cell, m); serr != nil {
-							sinkErr = serr
-							cancel()
-						}
-					}
-				case runCtx.Err() != nil && errors.Is(err, runCtx.Err()):
-					// The measurement was interrupted by cancellation
-					// (parent context or a FailFast abort), not by a
-					// failure of its own; leave the slot empty.
-				default:
-					errs[idx] = &WorkloadError{Benchmark: u.Benchmark.Name(), Workload: u.Workload.WorkloadName(), Err: err}
-					if firstErr == nil {
-						firstErr = err
-					}
-					emit(Event{Kind: EventWorkloadError, Benchmark: u.Benchmark.Name(),
-						Workload: u.Workload.WorkloadName(), Err: err, Completed: completed, Total: len(units)})
-					if opts.FailFast {
-						cancel()
-					}
-				}
-				mu.Unlock()
 			}
-		}()
-	}
-	go func() {
-		defer close(jobs)
-		for i := range units {
-			select {
-			case jobs <- i:
-			case <-runCtx.Done():
-				return
+		case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+			// The measurement was interrupted by cancellation (parent
+			// context, a FailFast abort or a sink rejection), not by a
+			// failure of its own; leave the slot empty.
+		default:
+			errs[idx] = &WorkloadError{Benchmark: u.Benchmark.Name(), Workload: u.Workload.WorkloadName(), Err: err}
+			emit(Event{Kind: EventWorkloadError, Benchmark: u.Benchmark.Name(),
+				Workload: u.Workload.WorkloadName(), Err: err, Completed: completed, Total: len(units)})
+			if opts.FailFast {
+				return err
 			}
 		}
-	}()
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
+		// The parent's ctx.Err(), a sink rejection, or under FailFast the
+		// first measurement failure.
 		return err
-	}
-	if sinkErr != nil {
-		return fmt.Errorf("harness: sink: %w", sinkErr)
 	}
 
 	// Collect failures in plan (inventory) order. Units that were never
-	// run (drained after a FailFast cancellation) carry no error and are
-	// simply absent.
+	// handed out (after a cancellation) carry no error and are simply
+	// absent.
 	var failures []*WorkloadError
 	for _, e := range errs {
 		if e != nil {
@@ -317,9 +293,6 @@ func (r *Runner) Stream(ctx context.Context, sink Sink) error {
 		}
 	}
 	if len(failures) > 0 {
-		if opts.FailFast {
-			return firstErr
-		}
 		return &RunError{Failures: failures}
 	}
 	return nil

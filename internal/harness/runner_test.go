@@ -16,13 +16,15 @@ import (
 )
 
 // slowBench is a configurable benchmark for runner tests: n Alberta
-// workloads plus a refrate, an optional per-run delay, and an optional set
-// of workloads that fail.
+// workloads plus a refrate, an optional per-run delay, an optional set
+// of workloads that fail, and an optional set that panic midway through a
+// profiled method.
 type slowBench struct {
-	name   string
-	n      int
-	delay  time.Duration
-	failOn map[string]bool
+	name    string
+	n       int
+	delay   time.Duration
+	failOn  map[string]bool
+	panicOn map[string]bool
 }
 
 func (s *slowBench) Name() string { return s.name }
@@ -44,7 +46,12 @@ func (s *slowBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) 
 	if s.failOn[w.WorkloadName()] {
 		return core.Result{}, errBoom
 	}
-	p.Do("main", func() { p.Ops(uint64(10 * (1 + len(w.WorkloadName())))) })
+	p.Do("main", func() {
+		p.Ops(uint64(10 * (1 + len(w.WorkloadName()))))
+		if s.panicOn[w.WorkloadName()] {
+			panic("kernel bug")
+		}
+	})
 	sum := core.NewChecksum().AddString(s.name).AddString(w.WorkloadName())
 	return core.Result{
 		Benchmark: s.name, Workload: w.WorkloadName(),
@@ -309,5 +316,54 @@ func TestRunWorkloadDetectsNondeterminismAfterZeroChecksum(t *testing.T) {
 	_, err = RunWorkload(context.Background(), b, w, Options{Reps: 3})
 	if err == nil || !strings.Contains(err.Error(), "nondeterministic checksum") {
 		t.Fatalf("expected nondeterminism error, got %v", err)
+	}
+}
+
+// TestRunnerPanicIsolation: a benchmark that panics midway through a
+// profiled method fails only its own cell. With FailFast off the run
+// returns a *RunError naming the cell and carrying the panic's stack,
+// every other cell is still delivered, and the cells measured after the
+// panic — on the same worker, under Workers = 1 — are bit-identical to a
+// run in which nothing panicked.
+func TestRunnerPanicIsolation(t *testing.T) {
+	clean, err := core.NewSuite(&slowBench{name: "950.panic_r", n: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewRunner(clean, Options{Reps: 1, Workers: 1}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSuite(&slowBench{name: "950.panic_r", n: 4, panicOn: map[string]bool{"alberta.01": true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewRunner(s, Options{Reps: 1, Workers: 1}).Run(context.Background())
+	var runErr *RunError
+	if !errors.As(err, &runErr) {
+		t.Fatalf("err = %v, want *RunError", err)
+	}
+	if len(runErr.Failures) != 1 {
+		t.Fatalf("failures = %v, want exactly the panicking cell", runErr.Failures)
+	}
+	f := runErr.Failures[0]
+	if f.Benchmark != "950.panic_r" || f.Workload != "alberta.01" {
+		t.Errorf("failure names %s/%s, want 950.panic_r/alberta.01", f.Benchmark, f.Workload)
+	}
+	msg := f.Error()
+	for _, part := range []string{"950.panic_r/alberta.01", "panic", "kernel bug", "runtime/debug.Stack"} {
+		if !strings.Contains(msg, part) {
+			t.Errorf("panic error lacks %q:\n%s", part, msg)
+		}
+	}
+	// Every other cell was delivered, identical to the clean run.
+	var others []report.Measurement
+	for _, m := range want["950.panic_r"] {
+		if m.Workload != "alberta.01" {
+			others = append(others, m)
+		}
+	}
+	if !reflect.DeepEqual(stripWall(report.Results{"950.panic_r": others}), stripWall(got)) {
+		t.Errorf("cells around the panic differ from the clean run:\nwant %+v\ngot  %+v", others, got["950.panic_r"])
 	}
 }

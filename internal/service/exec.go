@@ -105,9 +105,9 @@ func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunC
 		return report.Measurement{}, 0, ctx.Err()
 	}
 	defer func() { <-s.localSem }()
-	opts := harness.Options{
-		Reps:    cfg.Reps,
-		Sampled: cfg.Sampled, SampledInterval: cfg.SampledInterval, SampledPhases: cfg.SampledPhases,
+	opts, err := runOptions(cfg)
+	if err != nil {
+		return report.Measurement{}, 0, err
 	}
 	m, err := harness.RunWorkload(ctx, c.bench, c.w, opts)
 	if err != nil {
@@ -228,11 +228,8 @@ func (s *Server) executeOnWorker(ctx context.Context, base string, c plannedCell
 // coordinator; allowRemote is false, so workers never forward (a
 // misconfigured worker ring cannot loop a cell forever).
 func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req cellExecuteRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	b, ok := s.cfg.Suite.Lookup(req.Benchmark)
@@ -249,12 +246,7 @@ func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := harness.Options{
-		Reps:            req.Config.Reps,
-		Sampled:         req.Config.Sampled,
-		SampledInterval: req.Config.SampledInterval,
-		SampledPhases:   req.Config.SampledPhases,
-	}.Normalize()
+	opts, err := runOptions(req.Config)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

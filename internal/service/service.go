@@ -1,15 +1,17 @@
 // Package service implements albertad, the characterization daemon: a
 // long-running HTTP server that runs the harness's benchmark × workload
 // matrix on demand and serves the results through the versioned
-// report.Suite envelope (schema_version 1) — the same document
+// report.Suite envelope (schema_version 2) — the same document
 // `albertarun -json` emits, so service results and one-shot CLI results
 // are interchangeable.
 //
 // Architecture: POST /v1/jobs enqueues a characterization request onto a
 // bounded queue drained by a fixed pool of job workers. A job is planned
 // into cells — one (benchmark × workload × normalized config) point of
-// the matrix — and each cell resolves independently through the
-// cell-granular result cache (cache.go): cached cells are read back,
+// the matrix — and its cells fan out on harness.ForEach, at most the
+// server's cell window at a time (the same default window POST /v1/sweeps
+// uses). Each cell resolves independently through the cell-granular
+// result cache (cache.go): cached cells are read back,
 // cold cells execute under single-flight so concurrent jobs needing the
 // same cell share one execution, and when a worker fleet is configured
 // (Config.Workers) cold cells are sharded across it over HTTP with
@@ -85,6 +87,10 @@ type Server struct {
 	// remoteSem bounds in-flight remote executions when coordinating.
 	localSem  chan struct{}
 	remoteSem chan struct{}
+	// window bounds the cells one job or sweep resolves at once:
+	// 2 × RunWorkers, plus RemoteFanout when coordinating a fleet, so
+	// resolution keeps every local and remote slot busy.
+	window int
 
 	mu       sync.Mutex
 	jobs     map[string]*job //lint:guardedby mu
@@ -133,6 +139,7 @@ func NewServer(cfg Config) (*Server, error) {
 		client:     cfg.Client,
 		localSem:   make(chan struct{}, cfg.RunWorkers),
 		remoteSem:  make(chan struct{}, cfg.RemoteFanout),
+		window:     2 * cfg.RunWorkers,
 		jobs:       map[string]*job{},
 		queue:      make(chan *job, cfg.QueueDepth),
 		benchWall:  map[string]float64{},
@@ -140,6 +147,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if s.client == nil {
 		s.client = &http.Client{}
+	}
+	if len(cfg.Workers) > 0 {
+		s.window += cfg.RemoteFanout
 	}
 	runtime.ReadMemStats(&s.memBase)
 	s.mux = http.NewServeMux()
@@ -188,6 +198,41 @@ func (s *Server) Drain() {
 		// goroutines would otherwise outlive the server (leakcheck).
 		s.client.CloseIdleConnections()
 	}
+}
+
+// maxRequestBytes bounds every JSON request body; a larger one is
+// answered 413 without being read past the bound.
+const maxRequestBytes = 1 << 20
+
+// decodeRequest decodes r's JSON body into v, rejecting unknown fields
+// and bodies over maxRequestBytes. On failure it has already written the
+// error envelope (413 for an oversized body, 400 otherwise).
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "parsing request: %v", err)
+		return false
+	}
+	return true
+}
+
+// runOptions is the service's one report.RunConfig → harness.Options
+// conversion: the config's measurement fields, normalized. IncludeTest
+// widens a job's plan but never changes a cell, so it is left to the
+// caller.
+func runOptions(cfg report.RunConfig) (harness.Options, error) {
+	return harness.Options{
+		Reps:            cfg.Reps,
+		Sampled:         cfg.Sampled,
+		SampledInterval: cfg.SampledInterval,
+		SampledPhases:   cfg.SampledPhases,
+	}.Normalize()
 }
 
 // errorEnvelope is the uniform JSON error body.
@@ -282,11 +327,8 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 // touching the queue. Otherwise enqueue (202) unless draining or full
 // (503).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	nr, err := s.normalizeRequest(req)
@@ -445,47 +487,33 @@ func (s *Server) runJob(j *job) {
 	j.finish(data)
 }
 
-// resolveJobCells resolves every cell of the job's plan concurrently.
-// Parallelism is effectively bounded by the server's execution
-// semaphores (localSem, remoteSem) — the per-cell goroutines themselves
-// only coordinate. The first cell error cancels the rest and fails the
-// job; a canceled job reports context.Canceled.
+// resolveJobCells resolves every cell of the job's plan on
+// harness.ForEach, at most the server's cell window at a time; actual
+// executions are further bounded by the server's semaphores (localSem,
+// remoteSem). The first cell error cancels the rest, publishes the job's
+// one error event and fails the job; a canceled job reports
+// context.Canceled.
 func (s *Server) resolveJobCells(j *job) ([]report.Measurement, error) {
 	cells := j.req.cells
 	ms := make([]report.Measurement, len(cells))
-	ctx, cancel := context.WithCancel(j.ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	wg.Add(len(cells))
-	for i := range cells {
-		go func(i int) {
-			defer wg.Done()
-			c := cells[i]
-			m, out, err := s.cellMeasurement(ctx, c, j.req.cfg, true, func() { j.cellStarted(c) })
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					j.cellFailed(c, err)
-					cancel()
-				}
-				errMu.Unlock()
-				return
+	var failed sync.Once
+	err := harness.ForEach(j.ctx, len(cells), s.window, func(ctx context.Context, _, i int) error {
+		c := cells[i]
+		m, out, err := s.cellMeasurement(ctx, c, j.req.cfg, true, func() { j.cellStarted(c) })
+		if err != nil {
+			// A cell that failed only because an earlier failure
+			// canceled ctx publishes nothing.
+			if ctx.Err() == nil {
+				failed.Do(func() { j.cellFailed(c, err) })
 			}
-			ms[i] = m
-			j.cellDone(c, out)
-		}(i)
-	}
-	wg.Wait()
-	if err := j.ctx.Err(); err != nil {
+			return err
+		}
+		ms[i] = m
+		j.cellDone(c, out)
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return ms, nil
 }
@@ -525,16 +553,11 @@ func (n normalized) cellKeys() []string {
 // The request is planned into cells here; include_test widens the plan
 // but is not part of any cell's identity.
 func (s *Server) normalizeRequest(req JobRequest) (normalized, error) {
-	opts, err := harness.Options{
-		Reps:            req.Config.Reps,
-		IncludeTest:     req.Config.IncludeTest,
-		Sampled:         req.Config.Sampled,
-		SampledInterval: req.Config.SampledInterval,
-		SampledPhases:   req.Config.SampledPhases,
-	}.Normalize()
+	opts, err := runOptions(req.Config)
 	if err != nil {
 		return normalized{}, err
 	}
+	opts.IncludeTest = req.Config.IncludeTest
 	var n normalized
 	n.cfg = opts.ReportConfig()
 

@@ -38,9 +38,10 @@ type SweepRequest struct {
 	Features string `json:"features,omitempty"`
 	// ClusterSeed perturbs the k-medoids initialization (0 = canonical).
 	ClusterSeed int64 `json:"cluster_seed,omitempty"`
-	// Window bounds in-flight cells (default 2 × the server's RunWorkers):
-	// the sweep holds at most Window unreported measurements, however many
-	// cells the plan has.
+	// Window bounds in-flight cells (default the server's cell window,
+	// shared with jobs: 2 × RunWorkers, plus RemoteFanout when the server
+	// coordinates a worker fleet): the sweep holds at most Window
+	// unreported measurements, however many cells the plan has.
 	Window int `json:"window,omitempty"`
 	// Config is the measurement configuration (reps, sampling) —
 	// part of every cell's cache identity, exactly as in POST /v1/jobs.
@@ -98,20 +99,22 @@ func (o cellOutcome) String() string {
 	return "unknown"
 }
 
-// handleSweep is POST /v1/sweeps. The sweep runs inside the request: a
-// bounded pool of Window workers pulls plan indices, resolves each cell
-// through the cell store (cache, single-flight dedup, worker fleet), and
-// streams a frame per completion; the accumulator compacts each
+// maxSweepCells bounds a sweep's plan (benchmarks × per_benchmark): the
+// plan is generated up front, so an unbounded per_benchmark would let one
+// request allocate without limit.
+const maxSweepCells = 1 << 16
+
+// handleSweep is POST /v1/sweeps. The sweep runs inside the request:
+// harness.ForEach hands plan indices to Window workers, each resolving its
+// cell through the cell store (cache, single-flight dedup, worker fleet)
+// and streaming a frame per completion; the accumulator compacts each
 // measurement to a behaviour point and releases it, so the handler holds
 // O(Window) measurements regardless of plan size. Selection happens after
 // the last cell, keyed by plan index — the representative sets are
 // byte-identical to cmd/albertasweep's for the same request.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req SweepRequest
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "parsing request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Features == "" {
@@ -134,12 +137,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := harness.Options{
-		Reps:            req.Config.Reps,
-		Sampled:         req.Config.Sampled,
-		SampledInterval: req.Config.SampledInterval,
-		SampledPhases:   req.Config.SampledPhases,
-	}.Normalize()
+	if swcfg.PerBenchmark > maxSweepCells/len(swcfg.Benchmarks) {
+		writeError(w, http.StatusBadRequest, "sweep of %d benchmarks × %d workloads exceeds %d cells",
+			len(swcfg.Benchmarks), swcfg.PerBenchmark, maxSweepCells)
+		return
+	}
+	opts, err := runOptions(req.Config)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -156,10 +159,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	window := req.Window
 	if window == 0 {
-		window = 2 * s.cfg.RunWorkers
-	}
-	if window > len(units) {
-		window = len(units)
+		window = s.window
 	}
 
 	flusher, ok := w.(http.Flusher)
@@ -191,8 +191,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	// emit writes one frame. Callers hold mu (frames from concurrent
-	// workers must not interleave).
+	// emit writes one frame. Cell workers call it under mu (frames from
+	// concurrent workers must not interleave).
 	emit := func(kind string, v any) error {
 		data, err := json.Marshal(v)
 		if err != nil {
@@ -211,69 +211,35 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	acc := sweep.NewAccumulator(swcfg)
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error //lint:guardedby mu
-	)
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel()
+	var mu sync.Mutex // serializes acc and frame emission across workers
+	err = harness.ForEach(r.Context(), len(units), window, func(ctx context.Context, _, i int) error {
+		u := units[i]
+		c := plannedCell{
+			bench: u.Benchmark,
+			w:     u.Workload,
+			key:   cellKey(u.Benchmark.Name(), u.Workload.WorkloadName(), cfg),
 		}
-	}
-	indices := make(chan int)
-	wg.Add(window)
-	for wkr := 0; wkr < window; wkr++ {
-		go func() {
-			defer wg.Done()
-			for i := range indices {
-				u := units[i]
-				c := plannedCell{
-					bench: u.Benchmark,
-					w:     u.Workload,
-					key:   cellKey(u.Benchmark.Name(), u.Workload.WorkloadName(), cfg),
-				}
-				m, out, err := s.cellMeasurement(ctx, c, cfg, true, nil)
-				mu.Lock()
-				if err != nil {
-					fail(err)
-					mu.Unlock()
-					continue
-				}
-				acc.Add(i, m)
-				if err := emit("cell", sweepCellEvent{
-					Kind:      "cell",
-					Index:     i,
-					Total:     len(units),
-					Benchmark: m.Benchmark,
-					Workload:  m.Workload,
-					Checksum:  m.Checksum,
-					Cycles:    m.Cycles,
-					Source:    out.String(),
-				}); err != nil {
-					fail(err)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for i := range units {
-		select {
-		case indices <- i:
-		case <-ctx.Done():
-			break feed
+		m, out, err := s.cellMeasurement(ctx, c, cfg, true, nil)
+		if err != nil {
+			return err
 		}
-	}
-	close(indices)
-	wg.Wait()
-
-	if firstErr != nil {
+		mu.Lock()
+		defer mu.Unlock()
+		acc.Add(i, m)
+		return emit("cell", sweepCellEvent{
+			Kind:      "cell",
+			Index:     i,
+			Total:     len(units),
+			Benchmark: m.Benchmark,
+			Workload:  m.Workload,
+			Checksum:  m.Checksum,
+			Cycles:    m.Cycles,
+			Source:    out.String(),
+		})
+	})
+	if err != nil {
 		if r.Context().Err() == nil {
-			emit("error", sweepErrorEvent{Kind: "error", Error: firstErr.Error()})
+			emit("error", sweepErrorEvent{Kind: "error", Error: err.Error()})
 		}
 		return
 	}
