@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif leak-race test race bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
+.PHONY: build vet lint lint-sarif leak-race test race fuzz-short bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,17 @@ test:
 # The harness worker pool is race-checked on every run.
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of coverage-guided fuzzing for each Fuzz target (go test
+# fuzzes one target per invocation): the two perlbench differential
+# fuzzers, xalan's match-pattern fuzzer, and the service request fuzzers.
+# Plain `go test` runs only their seed corpora.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzExprDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegexCompiledDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
+	$(GO) test -run '^$$' -fuzz '^FuzzMatchPatternDifferential$$' -fuzztime 10s ./internal/benchmarks/xalan/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/service/
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/service/
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # plus the full-suite wall clock. Slow — it characterizes the whole suite

@@ -8,8 +8,7 @@ import (
 	"repro/internal/perf"
 )
 
-// Errors raised by the VM, identical in text and wrapping to the
-// tree-walker's so errors.Is and messages agree between the two paths.
+// Errors raised by the VM at run time. All wrap ErrScript.
 var (
 	errStepLimit = fmt.Errorf("%w: step limit exceeded", ErrScript)
 	errRunaway   = fmt.Errorf("%w: runaway while", ErrScript)
@@ -17,9 +16,19 @@ var (
 	errModZero   = fmt.Errorf("%w: modulo by zero", ErrScript)
 )
 
-// interpStepLimit matches Interp.limit: both paths bound scripts the same
-// way.
+// interpStepLimit bounds every script run: statements executed, and
+// iterations of any one while loop.
 const interpStepLimit = 20_000_000
+
+// declareFootprints declares the modeled code footprints of the engine's
+// three instrumented methods on p (nil-safe).
+func declareFootprints(p *perf.Profiler) {
+	if p != nil {
+		p.SetFootprint("pp_eval", 6<<10)
+		p.SetFootprint("regex_match", 4<<10)
+		p.SetFootprint("hash_ops", 3<<10)
+	}
+}
 
 // bcScratch is the mutable run state of a compiled program, recycled
 // across Executes under the prepared-workload scratch-reset contract.
@@ -69,8 +78,10 @@ func (sc *bcScratch) reset() {
 }
 
 // run executes the program: a flat dispatch loop over branch-free
-// expression code plus explicit statement-frame ops, emitting the exact
-// profiler event stream of Interp.exec/execOne/eval.
+// expression code plus explicit statement-frame ops. The event stream is
+// that of an eager tree-walking evaluator (one pp_eval frame per
+// statement, hash and regex events at their operands' evaluation points);
+// the tree-walking oracle in oracle_test.go pins it.
 func (pr *program) run(sc *bcScratch, p *perf.Profiler, limit uint64) (uint64, error) {
 	var (
 		code  = pr.code
@@ -133,10 +144,6 @@ func (pr *program) run(sc *bcScratch, p *perf.Profiler, limit uint64) (uint64, e
 				p.Leave()
 			}
 			sc.hashes[in.a][key] = val
-
-		case vERRSTMT:
-			err = pr.errs[in.a]
-			goto fail
 
 		case vIFBR:
 			sp--

@@ -10,7 +10,7 @@ import (
 	"repro/internal/perf"
 )
 
-// treeRun executes src through the retained tree-walker with corpus bound,
+// treeRun executes src through the tree-walking oracle with corpus bound,
 // returning output, steps and error plus the profiler report.
 func treeRun(t *testing.T, src string, corpus []string, limit uint64) (string, uint64, error, perf.Report) {
 	t.Helper()
@@ -32,25 +32,21 @@ func treeRun(t *testing.T, src string, corpus []string, limit uint64) (string, u
 	return i.Output(), i.Steps(), runErr, rep
 }
 
-// bcRun executes src through the bytecode VM. Fails the test if the script
-// does not compile (callers that want fallback behavior use Prepare).
+// bcRun executes src through the bytecode compiler and VM, the production
+// engine, under the same run contract as Execute: footprints from
+// declareFootprints, and interpStepLimit unless limit overrides it.
 func bcRun(t *testing.T, src string, corpus []string, limit uint64) (string, uint64, error, perf.Report) {
 	t.Helper()
 	prog, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	bc, err := compileProgram(prog)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
+	bc := compileProgram(prog)
 	if limit == 0 {
 		limit = interpStepLimit
 	}
 	p := perf.New()
-	p.SetFootprint("pp_eval", 6<<10)
-	p.SetFootprint("regex_match", 4<<10)
-	p.SetFootprint("hash_ops", 3<<10)
+	declareFootprints(p)
 	sc := newScratch(bc)
 	for _, line := range corpus {
 		sc.arrays[bc.inputSlot] = append(sc.arrays[bc.inputSlot], StrValue(line))
@@ -134,10 +130,28 @@ func TestBytecodeMatchesTreeWalkScripts(t *testing.T) {
 		"if (0) {\n  $x = index(1);\n}\nif (0) {\n  foreach $v (bogus) {\n    $q = 1;\n  }\n}\nprint \"ok\";\n",
 		// Negative/unary and numeric-string comparisons.
 		"$x = -(2 + 3) * 2;\n$y = !(1 > 2);\nif (\"10\" == 10) {\n  print \"N\";\n}\nif (\"10\" lt \"9\") {\n  print \"S\";\n}\nprint $x . \"/\" . $y;\n",
+		// Malformed expressions in taken branches: the operands evaluated
+		// before the fault emit their events, then the parse error unwinds
+		// every open statement frame.
+		"$h{\"k\"} = 2;\nif (1) {\n  $x = $h{\"k\"} + frob(1);\n}\nprint \"unreached\";\n",
+		"$s = \"abcb\";\nwhile ($s =~ /b/) {\n  $y = substr($h{$s}, 1;\n}\n",
+		"$i = 0;\nwhile ($i < 5) {\n  $i = $i + 1;\n  if ($i == 3) {\n    $z = $h{$i} . uc($h{\"q\"}, $h{\"r\"};\n  }\n}\n",
+		"$h{\"a\"} = 1;\n$h{$h{\"a\"} . } = 2;\n",
+		"$h{\"k\"} = 1;\nif ($h{\"k\"} > frob) {\n  print 1;\n}\n",
+		"$s = \"x\";\nforeach $v (@input) {\n  print $v;\n}\nprint $s =~ /x/ . \"$;\n",
+		"print \"a\" . exists($h{\"k\"}) . $h{\"k\" ;\n",
+		"if (1) {\n  $x = $h{\"k\"} . exists($h{1);\n}\n",
+		"$x = $h{\"k\"} =~ ;\n",
+		"$x = $h{\"a\"} . ($h{\"b\"} + 1;\n",
+		"$x = $h{\"a\"} || $h{\"b\"} ) ;\n",
+		// A runtime error before the fault wins over the parse error.
+		"$x = 0;\nif (1) {\n  $y = $h{\"k\"} / $x + );\n}\n",
+		"$x = 1 % 0 . $h{1 % 0;\n",
+		// An arity error ends evaluation: nothing after it is parsed.
+		"$x = substr($h{\"a\"}, 1) + frob;\n",
 	}
-	for i, src := range scripts {
-		assertSameRun(t, src, nil, 0)
-		_ = i
+	for _, src := range scripts {
+		assertSameRun(t, src, []string{"in1", "in2"}, 0)
 	}
 }
 
@@ -150,51 +164,65 @@ func TestBytecodeErrorLimitsMatchTree(t *testing.T) {
 	assertSameRun(t, "while (1) {\n  $x = 1;\n}\n", nil, 200)
 }
 
-// TestPrepareCompilesShippedScript proves the shipped workload script takes
-// the bytecode path, not the fallback.
+// TestPrepareCompilesShippedScript checks every shipped workload's script
+// compiles with the corpus array interned to the input slot.
 func TestPrepareCompilesShippedScript(t *testing.T) {
 	b := New()
-	w, err := core.FindWorkload(b, "test")
+	ws, err := b.Workloads()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pwp, err := b.Prepare(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := pwp.(*prepared)
-	if ps.bc == nil {
-		t.Fatal("shipped script fell back to the tree-walker")
-	}
-	if ps.bc.inputSlot < 0 || ps.bc.arrayNames[ps.bc.inputSlot] != "input" {
-		t.Errorf("input slot not interned: %v", ps.bc.arrayNames)
+	for _, w := range ws {
+		pwp, err := b.Prepare(w)
+		if err != nil {
+			t.Fatalf("%s: %v", w.WorkloadName(), err)
+		}
+		bc := pwp.(*prepared).bc
+		if bc.inputSlot < 0 || bc.arrayNames[bc.inputSlot] != "input" {
+			t.Errorf("%s: input slot not interned: %v", w.WorkloadName(), bc.arrayNames)
+		}
 	}
 }
 
-// TestPrepareFallsBackOnLazyParseHazard: the tree-walker parses expression
-// strings only when executed, so a script with a malformed expression in a
-// never-taken branch must still run. The compiler cannot represent it, so
-// Prepare must fall back — and the run must succeed.
-func TestPrepareFallsBackOnLazyParseHazard(t *testing.T) {
+// TestPrepareRunsLazyParseHazard: expressions are parsed as they are
+// evaluated, so a malformed expression in a never-taken branch must not
+// fail the run, while the same expression in a taken branch fails with
+// the oracle's error text.
+func TestPrepareRunsLazyParseHazard(t *testing.T) {
 	b := New()
-	w := Workload{
-		Meta:   core.Meta{Name: "hazard", Kind: core.KindTest},
-		Script: "if (0) {\n  $x = frob(1);\n}\nprint \"ok\";\n",
+	hazard := func(cond string) Workload {
+		return Workload{
+			Meta:   core.Meta{Name: "hazard", Kind: core.KindTest},
+			Script: "if (" + cond + ") {\n  $x = frob(1);\n}\nprint \"ok\";\n",
+		}
 	}
-	pwp, err := b.Prepare(w)
+	pwp, err := b.Prepare(hazard("0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := pwp.(*prepared)
-	if ps.bc != nil {
-		t.Fatal("expected tree-walk fallback for uncompilable expression")
-	}
 	res, err := pwp.Execute(nil)
 	if err != nil {
-		t.Fatalf("fallback execute: %v", err)
+		t.Fatalf("untaken hazard: %v", err)
 	}
 	if res.Checksum == 0 {
-		t.Error("zero checksum from fallback path")
+		t.Error("zero checksum")
+	}
+
+	taken := hazard("1")
+	pwp, err = b.Prepare(taken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = pwp.Execute(nil)
+	_, _, treeErr, _ := treeRun(t, taken.Script, nil, 0)
+	if treeErr == nil {
+		t.Fatal("oracle accepted the taken hazard")
+	}
+	if want := "perlbench: hazard: " + treeErr.Error(); err == nil || err.Error() != want {
+		t.Errorf("taken hazard err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, ErrScript) {
+		t.Errorf("taken hazard err = %v, want ErrScript", err)
 	}
 }
 
@@ -244,10 +272,7 @@ func TestRuntimeErrorsBytecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bc, err := compileProgram(prog)
-		if err != nil {
-			t.Fatalf("compile %q: %v", src, err)
-		}
+		bc := compileProgram(prog)
 		sc := newScratch(bc)
 		if _, err := bc.run(sc, nil, interpStepLimit); !errors.Is(err, ErrScript) {
 			t.Errorf("%q err = %v, want ErrScript", src, err)

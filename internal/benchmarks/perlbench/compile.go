@@ -7,19 +7,22 @@ import (
 
 // This file is the bytecode compiler: it turns a parsed []stmt into a flat
 // program executed by the stack machine in bytecode.go. Each expression
-// STRING is parsed exactly once (the tree-walker in eval.go re-parses it on
-// every evaluation), constant subtrees are folded, variable/hash/array
-// names are interned to slot indices, and regex literals are precompiled to
-// matcher structs. The tree-walker is retained unchanged as the
-// differential reference; any expression the compiler cannot handle makes
-// Prepare fall back to it for the whole script, because the tree-walker
-// parses expressions lazily — a malformed expression in a never-taken
-// branch must NOT fail the run.
+// STRING is parsed exactly once, constant subtrees are folded,
+// variable/hash/array names are interned to slot indices, and regex
+// literals are precompiled to matcher structs.
+//
+// The compiler accepts every script Parse accepts. A statement or
+// expression that cannot run compiles to code that raises its error when
+// it executes, so a malformed expression in a never-taken branch never
+// fails the run, and a taken one fails exactly where the language's eager
+// left-to-right evaluation reaches the fault (see the expression parser
+// below).
 //
 // The modeled profiler events are keyed to workload semantics (statement
 // enters, hash probes, regex scans), not to how the interpreter is
-// implemented, so the compiled program emits the exact event stream of the
-// tree-walk path; the differential tests prove bit-identity.
+// implemented. The tree-walking interpreter in oracle_test.go is the
+// test-only differential oracle; the tests require the compiled program
+// to reproduce its output, steps, errors and exact event stream.
 
 // vop is a bytecode opcode.
 type vop uint8
@@ -34,7 +37,6 @@ const (
 	vPRINT   // out += pop.Str()
 	vPUSHARR // arrays[a] = append(arrays[a], pop)
 	vHASHSET // val=pop, key=pop: hash_ops events, hashes[a][key]=val
-	vERRSTMT // raise errs[a]
 
 	// Control flow.
 	vIFBR     // c=pop, Branch(80, c); if !c jump a
@@ -48,15 +50,15 @@ const (
 	vITERNEXT // next item -> scalars[a], or pop iterator and jump b
 
 	// Expressions (stack ops; branch-free because Perl's && and || are
-	// eager in this dialect — see eval.go parseOr/parseAnd).
-	vCONST     // push consts[a]
-	vSCALAR    // push scalars[a]
-	vINTERP    // push interpolated string interps[a]
-	vHASHGET   // key=pop: hash_ops events, push hashes[a][key]
-	vEXISTS    // key=pop: push boolVal(key in hashes[a]); no events
-	vMATCH     // s=pop: push boolVal(regexes[a].match(s))
-	vNOTMATCH  // s=pop: push boolVal(!regexes[a].match(s))
-	vADD       // binary numeric/string ops: r=pop, l=pop, push l OP r
+	// eager in this dialect).
+	vCONST    // push consts[a]
+	vSCALAR   // push scalars[a]
+	vINTERP   // push interpolated string interps[a]
+	vHASHGET  // key=pop: hash_ops events, push hashes[a][key]
+	vEXISTS   // key=pop: push boolVal(key in hashes[a]); no events
+	vMATCH    // s=pop: push boolVal(regexes[a].match(s))
+	vNOTMATCH // s=pop: push boolVal(!regexes[a].match(s))
+	vADD      // binary numeric/string ops: r=pop, l=pop, push l OP r
 	vSUB
 	vCONCAT
 	vMUL
@@ -76,7 +78,7 @@ const (
 	vAND // eager Perl &&: last operand if first truthy, else the first
 	vNOT
 	vNEG
-	vLENGTH    // builtins: b = evaluated arg count, extras discarded
+	vLENGTH // builtins: b = evaluated arg count, extras discarded
 	vUC
 	vLC
 	vINTB
@@ -84,7 +86,7 @@ const (
 	vSUBSTRB
 	vSCALARLEN // push len(arrays[a])
 	vKEYSLEN   // push len(hashes[a])
-	vERR       // discard b args, raise errs[a] (statically-known arity error)
+	vERR       // raise errs[a]; b = operands evaluated before it (unread)
 )
 
 // instr is one bytecode instruction. a is a slot/index/jump target, b an
@@ -154,9 +156,8 @@ type compiler struct {
 	maxStack int
 }
 
-// compileProgram compiles a parsed script. A non-nil error means the
-// caller must fall back to the tree-walker for the whole script.
-func compileProgram(stmts []stmt) (*program, error) {
+// compileProgram compiles a parsed script.
+func compileProgram(stmts []stmt) *program {
 	c := &compiler{
 		scalarSlots: map[string]int{},
 		arraySlots:  map[string]int{},
@@ -167,9 +168,7 @@ func compileProgram(stmts []stmt) (*program, error) {
 		memo:        map[string]fragment{},
 	}
 	input := c.arraySlot("input") // always bound by Execute
-	if err := c.block(stmts); err != nil {
-		return nil, err
-	}
+	c.block(stmts)
 	c.op(vHALT, 0, 0)
 	seeds := make([]uint64, len(c.hashNames))
 	for i, n := range c.hashNames {
@@ -187,7 +186,7 @@ func compileProgram(stmts []stmt) (*program, error) {
 		hashSeeds:   seeds,
 		inputSlot:   input,
 		maxStack:    c.maxStack + 1,
-	}, nil
+	}
 }
 
 func (c *compiler) scalarSlot(name string) int {
@@ -274,22 +273,23 @@ func (c *compiler) splice(f fragment) {
 	c.cur++
 }
 
-func (c *compiler) block(stmts []stmt) error {
+func (c *compiler) block(stmts []stmt) {
 	for i := range stmts {
-		if err := c.stmtCompile(&stmts[i]); err != nil {
-			return err
-		}
+		c.stmtCompile(&stmts[i])
 	}
-	return nil
 }
 
-func (c *compiler) stmtCompile(st *stmt) error {
+// errStmt compiles a statement frame that raises err.
+func (c *compiler) errStmt(err error) {
+	c.op(vSTMT, 0, 0)
+	c.op(vERR, c.errSlot(err), 0)
+	c.op(vEND, 0, 0)
+}
+
+func (c *compiler) stmtCompile(st *stmt) {
 	switch st.kind {
 	case "assign":
-		f, err := c.exprFrag(st.expr)
-		if err != nil {
-			return err
-		}
+		f := c.exprFrag(st.expr)
 		c.op(vSTMT, 0, 0)
 		c.splice(f)
 		c.op(vASSIGN, c.scalarSlot(st.lhs), 0)
@@ -297,10 +297,7 @@ func (c *compiler) stmtCompile(st *stmt) error {
 		c.op(vEND, 0, 0)
 
 	case "print":
-		f, err := c.exprFrag(st.expr)
-		if err != nil {
-			return err
-		}
+		f := c.exprFrag(st.expr)
 		c.op(vSTMT, 0, 0)
 		c.splice(f)
 		c.op(vPRINT, 0, 0)
@@ -308,10 +305,7 @@ func (c *compiler) stmtCompile(st *stmt) error {
 		c.op(vEND, 0, 0)
 
 	case "pushArr":
-		f, err := c.exprFrag(st.expr)
-		if err != nil {
-			return err
-		}
+		f := c.exprFrag(st.expr)
 		c.op(vSTMT, 0, 0)
 		c.splice(f)
 		c.op(vPUSHARR, c.arraySlot(st.lhs), 0)
@@ -319,24 +313,16 @@ func (c *compiler) stmtCompile(st *stmt) error {
 		c.op(vEND, 0, 0)
 
 	case "hashSet":
-		// Mirrors execOne's lvalue split: first '{', last '}'.
+		// The lvalue splits at the first '{' and the last '}'.
 		open := strings.IndexByte(st.lhs, '{')
 		closeB := strings.LastIndexByte(st.lhs, '}')
 		if open < 0 || closeB < open {
-			c.op(vSTMT, 0, 0)
-			c.op(vERRSTMT, c.errSlot(fmt.Errorf("%w: bad hash lvalue %q", ErrScript, st.lhs)), 0)
-			c.op(vEND, 0, 0)
-			return nil
+			c.errStmt(fmt.Errorf("%w: bad hash lvalue %q", ErrScript, st.lhs))
+			return
 		}
 		name := st.lhs[1:open]
-		kf, err := c.exprFrag(st.lhs[open+1 : closeB])
-		if err != nil {
-			return err
-		}
-		vf, err := c.exprFrag(st.expr)
-		if err != nil {
-			return err
-		}
+		kf := c.exprFrag(st.lhs[open+1 : closeB])
+		vf := c.exprFrag(st.expr)
 		c.op(vSTMT, 0, 0)
 		c.splice(kf)
 		c.splice(vf)
@@ -345,39 +331,27 @@ func (c *compiler) stmtCompile(st *stmt) error {
 		c.op(vEND, 0, 0)
 
 	case "if":
-		f, err := c.exprFrag(st.cond)
-		if err != nil {
-			return err
-		}
+		f := c.exprFrag(st.cond)
 		c.op(vSTMT, 0, 0)
 		c.splice(f)
 		br := c.op(vIFBR, 0, 0)
 		c.cur--
-		if err := c.block(st.body); err != nil {
-			return err
-		}
+		c.block(st.body)
 		jmp := c.op(vJMP, 0, 0)
 		c.code[br].a = int32(len(c.code))
-		if err := c.block(st.else_); err != nil {
-			return err
-		}
+		c.block(st.else_)
 		c.code[jmp].a = int32(len(c.code))
 		c.op(vEND, 0, 0)
 
 	case "while":
-		f, err := c.exprFrag(st.cond)
-		if err != nil {
-			return err
-		}
+		f := c.exprFrag(st.cond)
 		c.op(vSTMT, 0, 0)
 		c.op(vLOOPPUSH, 0, 0)
 		top := len(c.code)
 		c.splice(f)
 		br := c.op(vWHILEBR, 0, 0)
 		c.cur--
-		if err := c.block(st.body); err != nil {
-			return err
-		}
+		c.block(st.body)
 		c.op(vITER, top, 0)
 		c.code[br].a = int32(len(c.code))
 		c.op(vLOOPPOP, 0, 0)
@@ -391,40 +365,32 @@ func (c *compiler) stmtCompile(st *stmt) error {
 		} else if rest, ok := strings.CutPrefix(st.k2, "@"); ok {
 			c.op(vFORA, c.arraySlot(rest), 0)
 		} else {
-			c.op(vERRSTMT, c.errSlot(fmt.Errorf("%w: bad foreach source %q", ErrScript, st.k2)), 0)
+			c.op(vERR, c.errSlot(fmt.Errorf("%w: bad foreach source %q", ErrScript, st.k2)), 0)
 			c.op(vEND, 0, 0)
-			return nil
+			return
 		}
 		next := c.op(vITERNEXT, varSlot, 0)
-		if err := c.block(st.body); err != nil {
-			return err
-		}
+		c.block(st.body)
 		c.op(vJMP, next, 0)
 		c.code[next].b = int32(len(c.code))
 		c.op(vEND, 0, 0)
 
 	default:
-		return fmt.Errorf("%w: unknown statement %q", ErrScript, st.kind)
+		c.errStmt(fmt.Errorf("%w: unknown statement %q", ErrScript, st.kind))
 	}
-	return nil
 }
 
 // exprFrag compiles (and memoizes) one expression string.
-func (c *compiler) exprFrag(src string) (fragment, error) {
+func (c *compiler) exprFrag(src string) fragment {
 	if f, ok := c.memo[src]; ok {
-		return f, nil
+		return f
 	}
-	ec := &exprCompiler{in: src, c: c}
-	n, err := ec.full()
-	if err != nil {
-		return fragment{}, err
-	}
-	n = foldNode(n)
+	n := foldNode((&exprCompiler{in: src, c: c}).full())
 	em := &emitter{}
 	c.emitNode(em, n)
 	f := fragment{ins: em.ins, maxDepth: em.max}
 	c.memo[src] = f
-	return f, nil
+	return f
 }
 
 // emitter builds one fragment, tracking the stack depth it needs.
@@ -499,7 +465,7 @@ const (
 	ebuiltin
 	escalarlen
 	ekeyslen
-	eerr
+	eerr // raise errIdx after evaluating kids: a parse fault or arity error
 )
 
 type enode struct {
@@ -520,7 +486,7 @@ func cnode(v Value) *enode { return &enode{kind: econst, val: v} }
 // when the operation emits profiler events (hash probes, regex scans) or
 // can raise a value-dependent runtime error (division/modulo by a zero
 // denominator stays a runtime op so the error surfaces exactly as the
-// tree-walker raises it).
+// language raises it).
 func foldNode(n *enode) *enode {
 	for i, k := range n.kids {
 		n.kids[i] = foldNode(k)
@@ -617,7 +583,7 @@ func foldNode(n *enode) *enode {
 }
 
 // substrClamp is substr's clamping, shared by the folder and the VM;
-// semantics identical to eval.go's parseBuiltin "substr" case.
+// an offset clamps into the string and a length into what remains.
 func substrClamp(s string, off, n int) string {
 	if off < 0 {
 		off = 0
@@ -635,11 +601,19 @@ func substrClamp(s string, off, n int) string {
 }
 
 // ---------------------------------------------------------------------------
-// Expression parser: a structural mirror of eval.go's exprParser that
-// builds an AST instead of evaluating. Token acceptance (whitespace, word
-// boundaries, case order) matches exprParser exactly so the compiled
-// grammar is the interpreted grammar; the differential fuzz target pins
-// the equivalence.
+// Expression parser: builds an AST in one pass. Token acceptance
+// (whitespace, word boundaries, case order) follows the grammar of the
+// tree-walking oracle's exprParser exactly; the differential fuzz target
+// pins the equivalence.
+//
+// The parser rejects nothing. The language evaluates eagerly, left to
+// right, as it parses, so a malformed expression still evaluates every
+// sub-expression completed before the fault, then fails. The parse
+// therefore stops at the first fault and returns an eerr node whose kids
+// are exactly those completed sub-expressions, in parse order: fault
+// builds the node where the error arises, and each enclosing level
+// prepends the operands it had already completed (unwind). The same node
+// carries builtin arity errors, which fail after their arguments.
 
 type exprCompiler struct {
 	in  string
@@ -647,16 +621,28 @@ type exprCompiler struct {
 	c   *compiler
 }
 
-func (e *exprCompiler) full() (*enode, error) {
-	n, err := e.parseOr()
-	if err != nil {
-		return nil, err
+// fault ends the parse with err, raised after evaluating done.
+func (e *exprCompiler) fault(err error, done ...*enode) *enode {
+	return &enode{kind: eerr, errIdx: e.c.errSlot(err), kids: done}
+}
+
+// unwind carries the fault f out of a sub-parse, prefixing the operands
+// the enclosing level had already completed.
+func unwind(f *enode, done ...*enode) *enode {
+	f.kids = append(done, f.kids...)
+	return f
+}
+
+func (e *exprCompiler) full() *enode {
+	n := e.parseOr()
+	if n.kind == eerr {
+		return n
 	}
 	e.skipSpace()
 	if e.pos != len(e.in) {
-		return nil, fmt.Errorf("%w: trailing %q in expression %q", ErrScript, e.in[e.pos:], e.in)
+		return e.fault(fmt.Errorf("%w: trailing %q in expression %q", ErrScript, e.in[e.pos:], e.in), n)
 	}
-	return n, nil
+	return n
 }
 
 func (e *exprCompiler) skipSpace() {
@@ -691,196 +677,158 @@ func (e *exprCompiler) acceptWord(s string) bool {
 	return true
 }
 
-func (e *exprCompiler) parseOr() (*enode, error) {
-	v, err := e.parseAnd()
-	if err != nil {
-		return nil, err
+// word consumes a run of name characters.
+func (e *exprCompiler) word() string {
+	start := e.pos
+	for e.pos < len(e.in) && isWord(e.in[e.pos]) {
+		e.pos++
 	}
-	for e.accept("||") {
-		r, err := e.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		v = &enode{kind: ebin, op: vOR, kids: []*enode{v, r}}
-	}
-	return v, nil
+	return e.in[start:e.pos]
 }
 
-func (e *exprCompiler) parseAnd() (*enode, error) {
-	v, err := e.parseCmp()
-	if err != nil {
-		return nil, err
+// binary parses the right operand of op and applies op to the completed
+// left operand l.
+func (e *exprCompiler) binary(l *enode, op vop, operand func() *enode) *enode {
+	r := operand()
+	if r.kind == eerr {
+		return unwind(r, l)
 	}
-	for e.accept("&&") {
-		r, err := e.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		v = &enode{kind: ebin, op: vAND, kids: []*enode{v, r}}
-	}
-	return v, nil
+	return &enode{kind: ebin, op: op, kids: []*enode{l, r}}
 }
 
-func (e *exprCompiler) parseCmp() (*enode, error) {
-	v, err := e.parseAdd()
-	if err != nil {
-		return nil, err
+func (e *exprCompiler) parseOr() *enode {
+	v := e.parseAnd()
+	for v.kind != eerr && e.accept("||") {
+		v = e.binary(v, vOR, e.parseAnd)
 	}
-	bin := func(op vop) error {
-		r, err := e.parseAdd()
-		if err != nil {
-			return err
-		}
-		v = &enode{kind: ebin, op: op, kids: []*enode{v, r}}
-		return nil
+	return v
+}
+
+func (e *exprCompiler) parseAnd() *enode {
+	v := e.parseCmp()
+	for v.kind != eerr && e.accept("&&") {
+		v = e.binary(v, vAND, e.parseCmp)
 	}
-	match := func(neg bool) error {
-		re, err := e.parseRegexLiteral()
-		if err != nil {
-			return err
-		}
-		op := vMATCH
-		if neg {
-			op = vNOTMATCH
-		}
-		v = &enode{kind: ematch, op: op, re: e.c.regexSlot(re), kids: []*enode{v}}
-		return nil
-	}
-	for {
-		var err error
+	return v
+}
+
+func (e *exprCompiler) parseCmp() *enode {
+	v := e.parseAdd()
+	for v.kind != eerr {
 		switch {
 		case e.accept("=="):
-			err = bin(vNUMEQ)
+			v = e.binary(v, vNUMEQ, e.parseAdd)
 		case e.accept("!="):
-			err = bin(vNUMNE)
+			v = e.binary(v, vNUMNE, e.parseAdd)
 		case e.accept("<="):
-			err = bin(vNUMLE)
+			v = e.binary(v, vNUMLE, e.parseAdd)
 		case e.accept(">="):
-			err = bin(vNUMGE)
+			v = e.binary(v, vNUMGE, e.parseAdd)
 		case e.accept("=~"):
-			err = match(false)
+			v = e.match(v, vMATCH)
 		case e.accept("!~"):
-			err = match(true)
+			v = e.match(v, vNOTMATCH)
 		case e.accept("<"):
-			err = bin(vNUMLT)
+			v = e.binary(v, vNUMLT, e.parseAdd)
 		case e.accept(">"):
-			err = bin(vNUMGT)
+			v = e.binary(v, vNUMGT, e.parseAdd)
 		case e.acceptWord("eq"):
-			err = bin(vSTREQ)
+			v = e.binary(v, vSTREQ, e.parseAdd)
 		case e.acceptWord("ne"):
-			err = bin(vSTRNE)
+			v = e.binary(v, vSTRNE, e.parseAdd)
 		case e.acceptWord("lt"):
-			err = bin(vSTRLT)
+			v = e.binary(v, vSTRLT, e.parseAdd)
 		case e.acceptWord("gt"):
-			err = bin(vSTRGT)
+			v = e.binary(v, vSTRGT, e.parseAdd)
 		default:
-			return v, nil
-		}
-		if err != nil {
-			return nil, err
+			return v
 		}
 	}
+	return v
 }
 
-func (e *exprCompiler) parseAdd() (*enode, error) {
-	v, err := e.parseMul()
-	if err != nil {
-		return nil, err
+// match parses a /regex/ literal and matches the completed subject s
+// against it.
+func (e *exprCompiler) match(s *enode, op vop) *enode {
+	e.skipSpace()
+	if e.pos >= len(e.in) || e.in[e.pos] != '/' {
+		return e.fault(fmt.Errorf("%w: expected /regex/", ErrScript), s)
 	}
-	for {
+	end := strings.IndexByte(e.in[e.pos+1:], '/')
+	if end < 0 {
+		return e.fault(fmt.Errorf("%w: unterminated regex", ErrScript), s)
+	}
+	re := e.in[e.pos+1 : e.pos+1+end]
+	e.pos += end + 2
+	return &enode{kind: ematch, op: op, re: e.c.regexSlot(re), kids: []*enode{s}}
+}
+
+func (e *exprCompiler) parseAdd() *enode {
+	v := e.parseMul()
+	for v.kind != eerr {
 		switch {
 		case e.accept("+"):
-			r, err := e.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vADD, kids: []*enode{v, r}}
+			v = e.binary(v, vADD, e.parseMul)
 		case e.peek("-") && !e.peek("->"):
 			e.pos++
-			r, err := e.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vSUB, kids: []*enode{v, r}}
+			v = e.binary(v, vSUB, e.parseMul)
 		case e.accept("."):
-			r, err := e.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vCONCAT, kids: []*enode{v, r}}
+			v = e.binary(v, vCONCAT, e.parseMul)
 		default:
-			return v, nil
+			return v
 		}
 	}
+	return v
 }
 
-func (e *exprCompiler) parseMul() (*enode, error) {
-	v, err := e.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
+func (e *exprCompiler) parseMul() *enode {
+	v := e.parseUnary()
+	for v.kind != eerr {
 		switch {
 		case e.accept("*"):
-			r, err := e.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vMUL, kids: []*enode{v, r}}
+			v = e.binary(v, vMUL, e.parseUnary)
 		case e.accept("/"):
-			r, err := e.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vDIV, kids: []*enode{v, r}}
+			v = e.binary(v, vDIV, e.parseUnary)
 		case e.accept("%"):
-			r, err := e.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			v = &enode{kind: ebin, op: vMOD, kids: []*enode{v, r}}
+			v = e.binary(v, vMOD, e.parseUnary)
 		default:
-			return v, nil
+			return v
 		}
 	}
+	return v
 }
 
-func (e *exprCompiler) parseUnary() (*enode, error) {
+func (e *exprCompiler) parseUnary() *enode {
+	var op vop
 	switch {
 	case e.accept("!"):
-		v, err := e.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &enode{kind: eunary, op: vNOT, kids: []*enode{v}}, nil
+		op = vNOT
 	case e.accept("-"):
-		v, err := e.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &enode{kind: eunary, op: vNEG, kids: []*enode{v}}, nil
+		op = vNEG
 	default:
 		return e.parsePrimary()
 	}
+	v := e.parseUnary()
+	if v.kind == eerr {
+		return v
+	}
+	return &enode{kind: eunary, op: op, kids: []*enode{v}}
 }
 
-func (e *exprCompiler) parsePrimary() (*enode, error) {
+func (e *exprCompiler) parsePrimary() *enode {
 	e.skipSpace()
 	if e.pos >= len(e.in) {
-		return nil, fmt.Errorf("%w: unexpected end of expression %q", ErrScript, e.in)
+		return e.fault(fmt.Errorf("%w: unexpected end of expression %q", ErrScript, e.in))
 	}
 	c := e.in[e.pos]
 	switch {
 	case c == '(':
 		e.pos++
-		v, err := e.parseOr()
-		if err != nil {
-			return nil, err
+		v := e.parseOr()
+		if v.kind != eerr && !e.accept(")") {
+			return e.fault(fmt.Errorf("%w: missing ')' in %q", ErrScript, e.in), v)
 		}
-		if !e.accept(")") {
-			return nil, fmt.Errorf("%w: missing ')' in %q", ErrScript, e.in)
-		}
-		return v, nil
+		return v
 	case c == '"':
 		return e.parseString()
 	case c >= '0' && c <= '9':
@@ -888,7 +836,7 @@ func (e *exprCompiler) parsePrimary() (*enode, error) {
 		for e.pos < len(e.in) && (e.in[e.pos] >= '0' && e.in[e.pos] <= '9' || e.in[e.pos] == '.') {
 			e.pos++
 		}
-		return cnode(StrValue(e.in[start:e.pos])), nil
+		return cnode(StrValue(e.in[start:e.pos]))
 	case c == '$':
 		return e.parseDollar()
 	default:
@@ -897,13 +845,14 @@ func (e *exprCompiler) parsePrimary() (*enode, error) {
 				return e.parseBuiltin(fn)
 			}
 		}
-		return nil, fmt.Errorf("%w: unexpected %q in expression %q", ErrScript, c, e.in)
+		return e.fault(fmt.Errorf("%w: unexpected %q in expression %q", ErrScript, c, e.in))
 	}
 }
 
-// parseString mirrors eval.go's parseString, splitting the literal into
-// chunks and scalar-slot references resolved at execution time.
-func (e *exprCompiler) parseString() (*enode, error) {
+// parseString reads a double-quoted literal with \n, \t, \\ and \" escapes
+// and $name interpolation, splitting it into chunks and scalar-slot
+// references resolved at execution time.
+func (e *exprCompiler) parseString() *enode {
 	e.pos++ // opening quote
 	var parts []interpPart
 	var sb strings.Builder
@@ -921,18 +870,18 @@ func (e *exprCompiler) parseString() (*enode, error) {
 			flush()
 			for _, p := range parts {
 				if p.slot >= 0 {
-					return &enode{kind: einterp, parts: parts}, nil
+					return &enode{kind: einterp, parts: parts}
 				}
 			}
 			var all strings.Builder
 			for _, p := range parts {
 				all.WriteString(p.lit)
 			}
-			return cnode(StrValue(all.String())), nil
+			return cnode(StrValue(all.String()))
 		case '\\':
 			e.pos++
 			if e.pos >= len(e.in) {
-				return nil, fmt.Errorf("%w: dangling escape", ErrScript)
+				return e.fault(fmt.Errorf("%w: dangling escape", ErrScript))
 			}
 			switch e.in[e.pos] {
 			case 'n':
@@ -944,83 +893,69 @@ func (e *exprCompiler) parseString() (*enode, error) {
 			}
 			e.pos++
 		case '$':
-			j := e.pos + 1
-			for j < len(e.in) && isWord(e.in[j]) {
-				j++
-			}
-			name := e.in[e.pos+1 : j]
+			e.pos++
+			name := e.word()
 			if name == "" {
 				sb.WriteByte('$')
-				e.pos++
 				continue
 			}
 			flush()
 			parts = append(parts, interpPart{slot: int32(e.c.scalarSlot(name))})
-			e.pos = j
 		default:
 			sb.WriteByte(c)
 			e.pos++
 		}
 	}
-	return nil, fmt.Errorf("%w: unterminated string", ErrScript)
+	return e.fault(fmt.Errorf("%w: unterminated string", ErrScript))
 }
 
-func (e *exprCompiler) parseDollar() (*enode, error) {
+// parseDollar reads $name or $hash{expr}.
+func (e *exprCompiler) parseDollar() *enode {
 	e.pos++ // '$'
-	start := e.pos
-	for e.pos < len(e.in) && isWord(e.in[e.pos]) {
-		e.pos++
-	}
-	name := e.in[start:e.pos]
+	name := e.word()
 	if name == "" {
-		return nil, fmt.Errorf("%w: bare '$'", ErrScript)
+		return e.fault(fmt.Errorf("%w: bare '$'", ErrScript))
 	}
-	if e.pos < len(e.in) && e.in[e.pos] == '{' {
-		depth := 0
-		j := e.pos
-		for ; j < len(e.in); j++ {
-			if e.in[j] == '{' {
-				depth++
-			} else if e.in[j] == '}' {
-				depth--
-				if depth == 0 {
-					break
-				}
+	if e.pos >= len(e.in) || e.in[e.pos] != '{' {
+		return &enode{kind: escalar, slot: e.c.scalarSlot(name)}
+	}
+	keySrc, ok := e.braced()
+	if !ok {
+		return e.fault(fmt.Errorf("%w: unbalanced hash braces", ErrScript))
+	}
+	key := (&exprCompiler{in: keySrc, c: e.c}).full()
+	if key.kind == eerr {
+		return key
+	}
+	return &enode{kind: ehashget, slot: e.c.hashSlot(name), kids: []*enode{key}}
+}
+
+// braced consumes the {...} group opening at e.pos and returns its inner
+// text; ok is false (and nothing is consumed) when the braces never
+// balance.
+func (e *exprCompiler) braced() (inner string, ok bool) {
+	depth := 0
+	for j := e.pos; j < len(e.in); j++ {
+		switch e.in[j] {
+		case '{':
+			depth++
+		case '}':
+			depth--
+			if depth == 0 {
+				inner = e.in[e.pos+1 : j]
+				e.pos = j + 1
+				return inner, true
 			}
 		}
-		if depth != 0 {
-			return nil, fmt.Errorf("%w: unbalanced hash braces", ErrScript)
-		}
-		keySrc := e.in[e.pos+1 : j]
-		e.pos = j + 1
-		sub := &exprCompiler{in: keySrc, c: e.c}
-		key, err := sub.full()
-		if err != nil {
-			return nil, err
-		}
-		return &enode{kind: ehashget, slot: e.c.hashSlot(name), kids: []*enode{key}}, nil
 	}
-	return &enode{kind: escalar, slot: e.c.scalarSlot(name)}, nil
+	return "", false
 }
 
-func (e *exprCompiler) parseRegexLiteral() (string, error) {
-	e.skipSpace()
-	if e.pos >= len(e.in) || e.in[e.pos] != '/' {
-		return "", fmt.Errorf("%w: expected /regex/", ErrScript)
-	}
-	end := strings.IndexByte(e.in[e.pos+1:], '/')
-	if end < 0 {
-		return "", fmt.Errorf("%w: unterminated regex", ErrScript)
-	}
-	re := e.in[e.pos+1 : e.pos+1+end]
-	e.pos += end + 2
-	return re, nil
-}
-
-func (e *exprCompiler) parseBuiltin(fn string) (*enode, error) {
+func (e *exprCompiler) parseBuiltin(fn string) *enode {
 	if !e.accept("(") {
-		return nil, fmt.Errorf("%w: %s requires parentheses", ErrScript, fn)
+		return e.fault(fmt.Errorf("%w: %s requires parentheses", ErrScript, fn))
 	}
+	// scalar(@a), keys(%h) and exists($h{k}) have special argument forms.
 	switch fn {
 	case "scalar", "keys":
 		e.skipSpace()
@@ -1029,100 +964,76 @@ func (e *exprCompiler) parseBuiltin(fn string) (*enode, error) {
 			sigil = '%'
 		}
 		if e.pos >= len(e.in) || e.in[e.pos] != sigil {
-			return nil, fmt.Errorf("%w: %s expects %c-name", ErrScript, fn, sigil)
+			return e.fault(fmt.Errorf("%w: %s expects %c-name", ErrScript, fn, sigil))
 		}
 		e.pos++
-		start := e.pos
-		for e.pos < len(e.in) && isWord(e.in[e.pos]) {
-			e.pos++
-		}
-		name := e.in[start:e.pos]
+		name := e.word()
 		if !e.accept(")") {
-			return nil, fmt.Errorf("%w: missing ')'", ErrScript)
+			return e.fault(fmt.Errorf("%w: missing ')'", ErrScript))
 		}
 		if fn == "scalar" {
-			return &enode{kind: escalarlen, slot: e.c.arraySlot(name)}, nil
+			return &enode{kind: escalarlen, slot: e.c.arraySlot(name)}
 		}
-		return &enode{kind: ekeyslen, slot: e.c.hashSlot(name)}, nil
+		return &enode{kind: ekeyslen, slot: e.c.hashSlot(name)}
 	case "exists":
 		e.skipSpace()
 		if e.pos >= len(e.in) || e.in[e.pos] != '$' {
-			return nil, fmt.Errorf("%w: exists expects $hash{key}", ErrScript)
+			return e.fault(fmt.Errorf("%w: exists expects $hash{key}", ErrScript))
 		}
 		e.pos++
-		start := e.pos
-		for e.pos < len(e.in) && isWord(e.in[e.pos]) {
-			e.pos++
-		}
-		name := e.in[start:e.pos]
+		name := e.word()
 		if e.pos >= len(e.in) || e.in[e.pos] != '{' {
-			return nil, fmt.Errorf("%w: exists expects $hash{key}", ErrScript)
+			return e.fault(fmt.Errorf("%w: exists expects $hash{key}", ErrScript))
 		}
-		depth := 0
-		j := e.pos
-		for ; j < len(e.in); j++ {
-			if e.in[j] == '{' {
-				depth++
-			} else if e.in[j] == '}' {
-				depth--
-				if depth == 0 {
-					break
-				}
-			}
+		keySrc, ok := e.braced()
+		if !ok {
+			return e.fault(fmt.Errorf("%w: unbalanced hash braces", ErrScript))
 		}
-		if depth != 0 {
-			// The tree-walker scans past the end here; bail to it.
-			return nil, fmt.Errorf("%w: unbalanced hash braces", ErrScript)
-		}
-		keySrc := e.in[e.pos+1 : j]
-		e.pos = j + 1
 		if !e.accept(")") {
-			return nil, fmt.Errorf("%w: missing ')'", ErrScript)
+			return e.fault(fmt.Errorf("%w: missing ')'", ErrScript))
 		}
-		sub := &exprCompiler{in: keySrc, c: e.c}
-		key, err := sub.full()
-		if err != nil {
-			return nil, err
+		key := (&exprCompiler{in: keySrc, c: e.c}).full()
+		if key.kind == eerr {
+			return key
 		}
-		return &enode{kind: eexists, slot: e.c.hashSlot(name), kids: []*enode{key}}, nil
+		return &enode{kind: eexists, slot: e.c.hashSlot(name), kids: []*enode{key}}
 	}
+	// Generic comma-separated value arguments.
 	var args []*enode
 	for {
-		v, err := e.parseOr()
-		if err != nil {
-			return nil, err
+		v := e.parseOr()
+		if v.kind == eerr {
+			return unwind(v, args...)
 		}
 		args = append(args, v)
-		if e.accept(",") {
-			continue
+		if !e.accept(",") {
+			break
 		}
-		break
 	}
 	if !e.accept(")") {
-		return nil, fmt.Errorf("%w: missing ')' after %s", ErrScript, fn)
+		return e.fault(fmt.Errorf("%w: missing ')' after %s", ErrScript, fn), args...)
 	}
-	// Arity failures are raised AFTER the args are evaluated, exactly as
-	// the tree-walker does: compile the args, then an unconditional raise.
+	// Arity failures are raised AFTER the args are evaluated.
 	switch fn {
 	case "length":
-		return &enode{kind: ebuiltin, op: vLENGTH, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vLENGTH, kids: args}
 	case "uc":
-		return &enode{kind: ebuiltin, op: vUC, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vUC, kids: args}
 	case "lc":
-		return &enode{kind: ebuiltin, op: vLC, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vLC, kids: args}
 	case "int":
-		return &enode{kind: ebuiltin, op: vINTB, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vINTB, kids: args}
 	case "index":
 		if len(args) < 2 {
-			return &enode{kind: eerr, errIdx: e.c.errSlot(fmt.Errorf("%w: index needs 2 args", ErrScript)), kids: args}, nil
+			return e.fault(fmt.Errorf("%w: index needs 2 args", ErrScript), args...)
 		}
-		return &enode{kind: ebuiltin, op: vINDEXB, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vINDEXB, kids: args}
 	case "substr":
 		if len(args) < 3 {
-			return &enode{kind: eerr, errIdx: e.c.errSlot(fmt.Errorf("%w: substr needs 3 args", ErrScript)), kids: args}, nil
+			return e.fault(fmt.Errorf("%w: substr needs 3 args", ErrScript), args...)
 		}
-		return &enode{kind: ebuiltin, op: vSUBSTRB, kids: args}, nil
+		return &enode{kind: ebuiltin, op: vSUBSTRB, kids: args}
 	default:
-		return nil, fmt.Errorf("%w: unknown builtin %s", ErrScript, fn)
+		return e.fault(fmt.Errorf("%w: unknown builtin %s", ErrScript, fn), args...)
 	}
 }

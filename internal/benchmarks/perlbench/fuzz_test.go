@@ -7,7 +7,8 @@ import (
 )
 
 // TestScriptSoupNeverPanics runs random statement soup through parse and
-// (bounded) execution.
+// bounded execution on both engines, requiring the compiled program to
+// match the oracle's output, steps and error text.
 func TestScriptSoupNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	lines := []string{
@@ -24,18 +25,44 @@ func TestScriptSoupNeverPanics(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		i := NewInterp(nil)
-		i.limit = 20000 // bound runaway loops from random composition
-		_ = i.Run(prog)
+		// 20 000 steps bounds runaway loops from random composition.
+		assertSameResult(t, src, prog, 20000)
+	}
+}
+
+// assertSameResult runs a parsed script on the oracle and on the VM, both
+// unprofiled under the same step limit, and requires identical output,
+// steps and error text.
+func assertSameResult(t *testing.T, src string, prog []stmt, limit uint64) {
+	t.Helper()
+	ti := NewInterp(nil)
+	ti.limit = limit
+	treeErr := ti.Run(prog)
+
+	bc := compileProgram(prog)
+	sc := newScratch(bc)
+	steps, bcErr := bc.run(sc, nil, limit)
+
+	if (treeErr == nil) != (bcErr == nil) {
+		t.Fatalf("error divergence on %q: tree %v, bc %v", src, treeErr, bcErr)
+	}
+	if treeErr != nil && treeErr.Error() != bcErr.Error() {
+		t.Fatalf("error text divergence on %q: tree %q, bc %q", src, treeErr, bcErr)
+	}
+	if ti.Output() != sc.out.String() {
+		t.Fatalf("output divergence on %q: tree %q, bc %q", src, ti.Output(), sc.out.String())
+	}
+	if ti.Steps() != steps {
+		t.Fatalf("steps divergence on %q: tree %d, bc %d", src, ti.Steps(), steps)
 	}
 }
 
 // FuzzExprDifferential feeds one expression through both engines — the
-// retained tree-walk evaluator and the bytecode compiler+VM — inside a
-// fixed preamble that populates scalars, an array and a hash, and requires
-// identical output, step counts and error text. Expressions the compiler
-// rejects are skipped: Prepare falls back to the tree-walker for those, so
-// they cannot diverge by construction.
+// tree-walking oracle and the bytecode compiler+VM — inside a fixed
+// preamble that populates scalars, an array and a hash, and requires
+// identical output, step counts and error text. Every expression compiles,
+// so malformed ones are compared too: the compiled fault must raise the
+// oracle's error after the same side effects.
 func FuzzExprDifferential(f *testing.F) {
 	for _, expr := range []string{
 		`1 + 2 * 3`,
@@ -52,6 +79,16 @@ func FuzzExprDifferential(f *testing.F) {
 		`substr($s, 1)`,
 		`-$x * -2 . ("a" lt "b")`,
 		`$s !~ /^a[b-d]+$/`,
+		// Malformed after a side effect or a runtime error.
+		`1/0 + )`,
+		`$h{"k"} + frob(1)`,
+		`substr($s, 1`,
+		`"$`,
+		`$h{1 % 0`,
+		`$s =~ `,
+		// A class range ending at byte 0xff.
+		"$s =~ /[a-\xff]/",
+		"\"\xff\" =~ /^[\x01-\xff]+$/",
 	} {
 		f.Add(expr)
 	}
@@ -64,30 +101,7 @@ func FuzzExprDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		bc, err := compileProgram(prog)
-		if err != nil {
-			t.Skip() // compiler rejects => Prepare falls back to the tree
-		}
-
-		ti := NewInterp(nil)
-		ti.limit = 100000
-		treeErr := ti.Run(prog)
-
-		sc := newScratch(bc)
-		steps, bcErr := bc.run(sc, nil, 100000)
-
-		if (treeErr == nil) != (bcErr == nil) {
-			t.Fatalf("error divergence on %q: tree %v, bc %v", expr, treeErr, bcErr)
-		}
-		if treeErr != nil && treeErr.Error() != bcErr.Error() {
-			t.Fatalf("error text divergence on %q: tree %q, bc %q", expr, treeErr, bcErr)
-		}
-		if ti.Output() != sc.out.String() {
-			t.Fatalf("output divergence on %q: tree %q, bc %q", expr, ti.Output(), sc.out.String())
-		}
-		if ti.Steps() != steps {
-			t.Fatalf("steps divergence on %q: tree %d, bc %d", expr, ti.Steps(), steps)
-		}
+		assertSameResult(t, src, prog, 100000)
 	})
 }
 
@@ -106,15 +120,14 @@ func FuzzRegexCompiledDifferential(f *testing.F) {
 		{"^$", ""},
 		{"a+$", "baaa"},
 		{`\$.`, "$x"},
+		{"[a-\xff]+", "z\xff"},
+		{"[^\x00-\xff]", "abc"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, pat, subj string) {
-		// Bound backtracking blowup and skip the one intentional
-		// divergence: the tree-walker's byte-range expansion wraps (and
-		// hangs) on a class range ending at 0xff; the compiled form bounds
-		// it.
-		if len(pat) > 12 || len(subj) > 32 || strings.ContainsRune(pat, 0xff) || strings.Contains(pat, "\xff") {
+		// Bound backtracking blowup.
+		if len(pat) > 12 || len(subj) > 32 {
 			t.Skip()
 		}
 		i := NewInterp(nil)

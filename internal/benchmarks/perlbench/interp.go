@@ -10,11 +10,8 @@ package perlbench
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/perf"
 )
 
 // Value is a Perl-style scalar: it carries a string and converts to a
@@ -92,39 +89,6 @@ func (v Value) Truthy() bool { return v.s != "" && v.s != "0" }
 
 // ErrScript reports a parse or runtime failure.
 var ErrScript = errors.New("perlbench: script error")
-
-// Interp runs one script.
-type Interp struct {
-	scalars map[string]Value
-	arrays  map[string][]Value
-	hashes  map[string]map[string]Value
-	out     strings.Builder
-	p       *perf.Profiler
-	steps   uint64
-	limit   uint64
-}
-
-// NewInterp returns a fresh interpreter.
-func NewInterp(p *perf.Profiler) *Interp {
-	if p != nil {
-		p.SetFootprint("pp_eval", 6<<10)
-		p.SetFootprint("regex_match", 4<<10)
-		p.SetFootprint("hash_ops", 3<<10)
-	}
-	return &Interp{
-		scalars: map[string]Value{},
-		arrays:  map[string][]Value{},
-		hashes:  map[string]map[string]Value{},
-		p:       p,
-		limit:   20_000_000,
-	}
-}
-
-// Output returns everything printed by the script.
-func (i *Interp) Output() string { return i.out.String() }
-
-// Steps returns the statement count executed.
-func (i *Interp) Steps() uint64 { return i.steps }
 
 // line-based parser: the language is statement-per-line with explicit
 // block markers, which keeps the interpreter honest without a full yacc
@@ -289,139 +253,21 @@ func findAssign(s string) int {
 	return -1
 }
 
-// Run executes a parsed script.
-func (i *Interp) Run(prog []stmt) error {
-	return i.exec(prog)
+func isWord(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
 }
 
-func (i *Interp) exec(prog []stmt) error {
-	for _, st := range prog {
-		i.steps++
-		if i.steps > i.limit {
-			return fmt.Errorf("%w: step limit exceeded", ErrScript)
-		}
-		if i.p != nil {
-			i.p.Enter("pp_eval")
-		}
-		err := i.execOne(st)
-		if i.p != nil {
-			i.p.Ops(8)
-			i.p.Leave()
-		}
-		if err != nil {
-			return err
-		}
+// trueValue/falseValue carry the numeric cache; numPrefix("1") is 1 and
+// numPrefix("") is 0, so they are indistinguishable from the uncached
+// StrValue forms.
+var (
+	trueValue  = Value{s: "1", n: 1, hasN: true}
+	falseValue = Value{s: "", n: 0, hasN: true}
+)
+
+func boolVal(b bool) Value {
+	if b {
+		return trueValue
 	}
-	return nil
-}
-
-func (i *Interp) execOne(st stmt) error {
-	switch st.kind {
-	case "assign":
-		v, err := i.eval(st.expr)
-		if err != nil {
-			return err
-		}
-		i.scalars[st.lhs] = v
-	case "hashSet":
-		// $h{key} = expr
-		open := strings.IndexByte(st.lhs, '{')
-		closeB := strings.LastIndexByte(st.lhs, '}')
-		if open < 0 || closeB < open {
-			return fmt.Errorf("%w: bad hash lvalue %q", ErrScript, st.lhs)
-		}
-		name := st.lhs[1:open]
-		key, err := i.eval(st.lhs[open+1 : closeB])
-		if err != nil {
-			return err
-		}
-		val, err := i.eval(st.expr)
-		if err != nil {
-			return err
-		}
-		if i.hashes[name] == nil {
-			i.hashes[name] = map[string]Value{}
-		}
-		if i.p != nil {
-			i.p.Enter("hash_ops")
-			i.p.Ops(6)
-			i.p.Store(0x90_0000_0000 + hashAddr(name, key.Str()))
-			i.p.Leave()
-		}
-		i.hashes[name][key.Str()] = val
-	case "pushArr":
-		v, err := i.eval(st.expr)
-		if err != nil {
-			return err
-		}
-		i.arrays[st.lhs] = append(i.arrays[st.lhs], v)
-	case "print":
-		v, err := i.eval(st.expr)
-		if err != nil {
-			return err
-		}
-		i.out.WriteString(v.Str())
-	case "if":
-		c, err := i.eval(st.cond)
-		if err != nil {
-			return err
-		}
-		if i.p != nil {
-			i.p.Branch(80, c.Truthy())
-		}
-		if c.Truthy() {
-			return i.exec(st.body)
-		}
-		return i.exec(st.else_)
-	case "while":
-		for iter := 0; ; iter++ {
-			c, err := i.eval(st.cond)
-			if err != nil {
-				return err
-			}
-			if i.p != nil {
-				i.p.Branch(81, c.Truthy())
-			}
-			if !c.Truthy() {
-				return nil
-			}
-			if err := i.exec(st.body); err != nil {
-				return err
-			}
-			if uint64(iter) > i.limit {
-				return fmt.Errorf("%w: runaway while", ErrScript)
-			}
-		}
-	case "foreach":
-		src := st.k2
-		var items []Value
-		if rest, ok := strings.CutPrefix(src, "keys %"); ok {
-			h := i.hashes[rest]
-			keys := make([]string, 0, len(h))
-			for k := range h {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys) // deterministic iteration
-			for _, k := range keys {
-				items = append(items, StrValue(k))
-			}
-		} else if rest, ok := strings.CutPrefix(src, "@"); ok {
-			items = i.arrays[rest]
-		} else {
-			return fmt.Errorf("%w: bad foreach source %q", ErrScript, src)
-		}
-		for _, it := range items {
-			i.scalars[st.k1] = it
-			if err := i.exec(st.body); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("%w: unknown statement %q", ErrScript, st.kind)
-	}
-	return nil
-}
-
-func hashAddr(name, key string) uint64 {
-	return hashAddrSeeded(fnvSeed(name), key)
+	return falseValue
 }

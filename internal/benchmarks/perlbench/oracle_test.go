@@ -2,8 +2,184 @@ package perlbench
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+
+	"repro/internal/perf"
 )
+
+// This file is the tree-walking interpreter, kept as the test-only
+// differential oracle for the bytecode compiler and VM: it re-parses each
+// expression string every time it is evaluated and evaluates eagerly, left
+// to right, as it parses. The compiled engine must reproduce its output,
+// step count, error text and exact profiler event stream.
+
+// Interp runs one script.
+type Interp struct {
+	scalars map[string]Value
+	arrays  map[string][]Value
+	hashes  map[string]map[string]Value
+	out     strings.Builder
+	p       *perf.Profiler
+	steps   uint64
+	limit   uint64
+}
+
+// NewInterp returns a fresh interpreter under the VM's run contract: the
+// same footprints and the same step limit.
+func NewInterp(p *perf.Profiler) *Interp {
+	declareFootprints(p)
+	return &Interp{
+		scalars: map[string]Value{},
+		arrays:  map[string][]Value{},
+		hashes:  map[string]map[string]Value{},
+		p:       p,
+		limit:   interpStepLimit,
+	}
+}
+
+// Output returns everything printed by the script.
+func (i *Interp) Output() string { return i.out.String() }
+
+// Steps returns the statement count executed.
+func (i *Interp) Steps() uint64 { return i.steps }
+
+// Run executes a parsed script.
+func (i *Interp) Run(prog []stmt) error {
+	return i.exec(prog)
+}
+
+func (i *Interp) exec(prog []stmt) error {
+	for _, st := range prog {
+		i.steps++
+		if i.steps > i.limit {
+			return fmt.Errorf("%w: step limit exceeded", ErrScript)
+		}
+		if i.p != nil {
+			i.p.Enter("pp_eval")
+		}
+		err := i.execOne(st)
+		if i.p != nil {
+			i.p.Ops(8)
+			i.p.Leave()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (i *Interp) execOne(st stmt) error {
+	switch st.kind {
+	case "assign":
+		v, err := i.eval(st.expr)
+		if err != nil {
+			return err
+		}
+		i.scalars[st.lhs] = v
+	case "hashSet":
+		// $h{key} = expr
+		open := strings.IndexByte(st.lhs, '{')
+		closeB := strings.LastIndexByte(st.lhs, '}')
+		if open < 0 || closeB < open {
+			return fmt.Errorf("%w: bad hash lvalue %q", ErrScript, st.lhs)
+		}
+		name := st.lhs[1:open]
+		key, err := i.eval(st.lhs[open+1 : closeB])
+		if err != nil {
+			return err
+		}
+		val, err := i.eval(st.expr)
+		if err != nil {
+			return err
+		}
+		if i.hashes[name] == nil {
+			i.hashes[name] = map[string]Value{}
+		}
+		if i.p != nil {
+			i.p.Enter("hash_ops")
+			i.p.Ops(6)
+			i.p.Store(0x90_0000_0000 + hashAddr(name, key.Str()))
+			i.p.Leave()
+		}
+		i.hashes[name][key.Str()] = val
+	case "pushArr":
+		v, err := i.eval(st.expr)
+		if err != nil {
+			return err
+		}
+		i.arrays[st.lhs] = append(i.arrays[st.lhs], v)
+	case "print":
+		v, err := i.eval(st.expr)
+		if err != nil {
+			return err
+		}
+		i.out.WriteString(v.Str())
+	case "if":
+		c, err := i.eval(st.cond)
+		if err != nil {
+			return err
+		}
+		if i.p != nil {
+			i.p.Branch(80, c.Truthy())
+		}
+		if c.Truthy() {
+			return i.exec(st.body)
+		}
+		return i.exec(st.else_)
+	case "while":
+		for iter := 0; ; iter++ {
+			c, err := i.eval(st.cond)
+			if err != nil {
+				return err
+			}
+			if i.p != nil {
+				i.p.Branch(81, c.Truthy())
+			}
+			if !c.Truthy() {
+				return nil
+			}
+			if err := i.exec(st.body); err != nil {
+				return err
+			}
+			if uint64(iter) > i.limit {
+				return fmt.Errorf("%w: runaway while", ErrScript)
+			}
+		}
+	case "foreach":
+		src := st.k2
+		var items []Value
+		if rest, ok := strings.CutPrefix(src, "keys %"); ok {
+			h := i.hashes[rest]
+			keys := make([]string, 0, len(h))
+			for k := range h {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys) // deterministic iteration
+			for _, k := range keys {
+				items = append(items, StrValue(k))
+			}
+		} else if rest, ok := strings.CutPrefix(src, "@"); ok {
+			items = i.arrays[rest]
+		} else {
+			return fmt.Errorf("%w: bad foreach source %q", ErrScript, src)
+		}
+		for _, it := range items {
+			i.scalars[st.k1] = it
+			if err := i.exec(st.body); err != nil {
+				return err
+			}
+		}
+	default:
+		return fmt.Errorf("%w: unknown statement %q", ErrScript, st.kind)
+	}
+	return nil
+}
+
+func hashAddr(name, key string) uint64 {
+	return hashAddrSeeded(fnvSeed(name), key)
+}
 
 // eval evaluates an expression string. The grammar (precedence low→high):
 //
@@ -66,10 +242,6 @@ func (e *exprParser) acceptWord(s string) bool {
 	return true
 }
 
-func isWord(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
 func (e *exprParser) parseOr() (Value, error) {
 	v, err := e.parseAnd()
 	if err != nil {
@@ -104,21 +276,6 @@ func (e *exprParser) parseAnd() (Value, error) {
 		}
 	}
 	return v, nil
-}
-
-// trueValue/falseValue carry the numeric cache; numPrefix("1") is 1 and
-// numPrefix("") is 0, so they are indistinguishable from the uncached
-// StrValue forms.
-var (
-	trueValue  = Value{s: "1", n: 1, hasN: true}
-	falseValue = Value{s: "", n: 0, hasN: true}
-)
-
-func boolVal(b bool) Value {
-	if b {
-		return trueValue
-	}
-	return falseValue
 }
 
 func (e *exprParser) parseCmp() (Value, error) {
@@ -494,6 +651,9 @@ func (e *exprParser) parseBuiltin(fn string) (Value, error) {
 				}
 			}
 		}
+		if depth != 0 {
+			return Value{}, fmt.Errorf("%w: unbalanced hash braces", ErrScript)
+		}
 		keySrc := e.in[e.pos+1 : j]
 		e.pos = j + 1
 		if !e.accept(")") {
@@ -606,8 +766,8 @@ func atomAt(p string) (func(byte) bool, int) {
 		allowed := map[byte]bool{}
 		for k := 0; k < len(set); k++ {
 			if k+2 < len(set) && set[k+1] == '-' {
-				for c := set[k]; c <= set[k+2]; c++ {
-					allowed[c] = true
+				for c := int(set[k]); c <= int(set[k+2]); c++ {
+					allowed[byte(c)] = true
 				}
 				k += 2
 				continue

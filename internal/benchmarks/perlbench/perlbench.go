@@ -117,23 +117,14 @@ func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) 
 
 // prepared holds the compiled program plus its recycled run scratch. The
 // script is bytecode-compiled once at Prepare; Execute is the flat VM
-// dispatch loop in bytecode.go. When the compiler rejects an expression
-// (the tree-walker parses expression strings lazily, so a malformed
-// expression in an untaken branch must not fail the run) the prepared
-// workload falls back to the tree-walk path for the whole script — the
-// same interpreter that serves as the bytecode path's differential
-// reference.
+// dispatch loop in bytecode.go. The compiler accepts every script Parse
+// accepts, so this is the only execution path.
 type prepared struct {
-	b  *Benchmark
-	pw Workload
-
-	// Bytecode path.
+	b      *Benchmark
+	pw     Workload
 	bc     *program
 	sc     *bcScratch
 	corpus []Value
-
-	// Tree-walk fallback (non-nil only when compilation failed).
-	prog []stmt
 }
 
 // Prepare implements core.Preparer: parse and compile the script once,
@@ -147,16 +138,14 @@ func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("perlbench: %s: %w", pw.Name, err)
 	}
-	ps := &prepared{b: b, pw: pw}
-	if bc, cerr := compileProgram(prog); cerr == nil {
-		ps.bc = bc
-		ps.sc = newScratch(bc)
-		ps.corpus = make([]Value, len(pw.Corpus))
-		for i, line := range pw.Corpus {
-			ps.corpus[i] = StrValue(line)
-		}
-	} else {
-		ps.prog = prog
+	bc := compileProgram(prog)
+	ps := &prepared{
+		b: b, pw: pw, bc: bc,
+		sc:     newScratch(bc),
+		corpus: make([]Value, len(pw.Corpus)),
+	}
+	for i, line := range pw.Corpus {
+		ps.corpus[i] = StrValue(line)
 	}
 	return ps, nil
 }
@@ -165,15 +154,7 @@ func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 // the corpus, resetting the scratch in place.
 func (ps *prepared) Execute(p *perf.Profiler) (core.Result, error) {
 	b, pw := ps.b, ps.pw
-	if ps.bc == nil {
-		return ps.executeTree(p)
-	}
-	if p != nil {
-		// Same footprint declarations as NewInterp, every Execute.
-		p.SetFootprint("pp_eval", 6<<10)
-		p.SetFootprint("regex_match", 4<<10)
-		p.SetFootprint("hash_ops", 3<<10)
-	}
+	declareFootprints(p)
 	sc := ps.sc
 	sc.reset()
 	sc.arrays[ps.bc.inputSlot] = append(sc.arrays[ps.bc.inputSlot][:0], ps.corpus...)
@@ -186,29 +167,6 @@ func (ps *prepared) Execute(p *perf.Profiler) (core.Result, error) {
 		return core.Result{}, fmt.Errorf("perlbench: %s: script produced no output", pw.Name)
 	}
 	sum := core.NewChecksum().AddString(out).AddUint64(steps)
-	return core.Result{
-		Benchmark: b.Name(),
-		Workload:  pw.Name,
-		Kind:      pw.WorkloadKind(),
-		Checksum:  sum.Value(),
-	}, nil
-}
-
-// executeTree is the retained tree-walk path: a fresh interpreter over the
-// prepared statement tree.
-func (ps *prepared) executeTree(p *perf.Profiler) (core.Result, error) {
-	b, pw := ps.b, ps.pw
-	interp := NewInterp(p)
-	for _, line := range pw.Corpus {
-		interp.arrays["input"] = append(interp.arrays["input"], StrValue(line))
-	}
-	if err := interp.Run(ps.prog); err != nil {
-		return core.Result{}, fmt.Errorf("perlbench: %s: %w", pw.Name, err)
-	}
-	if interp.Output() == "" {
-		return core.Result{}, fmt.Errorf("perlbench: %s: script produced no output", pw.Name)
-	}
-	sum := core.NewChecksum().AddString(interp.Output()).AddUint64(interp.Steps())
 	return core.Result{
 		Benchmark: b.Name(),
 		Workload:  pw.Name,

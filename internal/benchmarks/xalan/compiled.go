@@ -11,10 +11,11 @@ import (
 // lowered once, at Prepare time, to an instruction stream with every string
 // decision pre-decomposed — match patterns classified, select paths split
 // into steps, instruction names and attribute lookups resolved to enum tags
-// and struct fields. The tree-walking Transformer in xslt.go is retained as
-// the differential reference; both engines emit the same modeled event
-// stream and produce the same output tree, which the tests in
-// compiled_test.go enforce bit-for-bit.
+// and struct fields. It is the only engine that runs a workload. The
+// tree-walking Transformer in transformer_test.go is the test-only
+// differential oracle; both engines emit the same modeled event stream and
+// produce the same output tree, which the tests in compiled_test.go
+// enforce bit-for-bit.
 
 // matchKind classifies a template match pattern.
 type matchKind uint8
@@ -103,11 +104,11 @@ const (
 
 // cinstr is one pre-decoded instruction.
 type cinstr struct {
-	op   xop
-	text string // xText text, xElement/xAttr name, xTextLit value, xLiteral name
-	val  cval   // xAttr, xValueOf
-	sel  csel   // xCount, xApplySel, xForEach
-	test ctest  // xIf
+	op    xop
+	text  string // xText text, xElement/xAttr name, xTextLit value, xLiteral name
+	val   cval   // xAttr, xValueOf
+	sel   csel   // xCount, xApplySel, xForEach
+	test  ctest  // xIf
 	attrs []Attr // xLiteral attribute copy
 	body  []cinstr
 }
