@@ -138,7 +138,7 @@ func generate(cfg *config, targets []core.Benchmark) (*Manifest, error) {
 		gen, ok := b.(core.Generator)
 		if ok {
 			bm.Generator = true
-			ws, err := gen.GenerateWorkloads(cfg.seed, cfg.n)
+			ws, err := core.GenerateWorkloads(gen, cfg.seed, cfg.n)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", b.Name(), err)
 			}
@@ -161,7 +161,7 @@ func oneWorkload(cfg *config, b core.Benchmark, w core.Workload) (WorkloadManife
 	wm := WorkloadManifest{Name: w.WorkloadName(), Kind: w.WorkloadKind()}
 	if cfg.verify {
 		p := perf.New()
-		res, err := b.Run(w, p)
+		res, err := core.Run(b, w, p)
 		if err != nil {
 			return wm, fmt.Errorf("%s/%s: %w", b.Name(), w.WorkloadName(), err)
 		}

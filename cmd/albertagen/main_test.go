@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/benchmarks/exchange2"
@@ -39,5 +40,17 @@ func TestManifestCyclesMatchHarness(t *testing.T) {
 	}
 	if wm.Checksum != m.Checksum {
 		t.Errorf("manifest checksum %x, harness checksum %x", wm.Checksum, m.Checksum)
+	}
+}
+
+// TestSeedOutsideDomainRejected: a seed outside the generated domain is
+// an error before any generator runs, not a panic or a silently odd
+// workload.
+func TestSeedOutsideDomainRejected(t *testing.T) {
+	for _, seed := range []int64{-1, core.MaxGeneratedSeed + 1} {
+		cfg := &config{bench: "523.xalancbmk_r", n: 2, seed: seed}
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), "generated domain") {
+			t.Errorf("-seed %d: err = %v, want a generated-domain error", seed, err)
+		}
 	}
 }

@@ -25,7 +25,7 @@ func main() {
 		"workload", "kind", "cycles", "front", "back", "badspec", "retire")
 	for _, w := range workloads {
 		p := perf.New()
-		res, err := bench.Run(w, p)
+		res, err := core.Run(bench, w, p)
 		if err != nil {
 			log.Fatalf("%s: %v", w.WorkloadName(), err)
 		}
@@ -40,14 +40,13 @@ func main() {
 	// Generate two fresh workloads — the capability the Alberta Workloads
 	// exist to provide.
 	fmt.Println("\nfreshly generated workloads (seed 42):")
-	var gen core.Generator = bench
-	ws, err := gen.GenerateWorkloads(42, 2)
+	ws, err := core.GenerateWorkloads(bench, 42, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, w := range ws {
 		p := perf.New()
-		res, err := bench.Run(w, p)
+		res, err := core.Run(bench, w, p)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,13 +30,13 @@ func main() {
 			fmt.Printf("%-18s no generator (matches the paper)\n", b.Name())
 			continue
 		}
-		ws, err := gen.GenerateWorkloads(seed, n)
+		ws, err := core.GenerateWorkloads(gen, seed, n)
 		if err != nil {
 			log.Fatalf("%s: %v", b.Name(), err)
 		}
 		for _, w := range ws {
 			p := perf.New()
-			res, err := b.Run(w, p)
+			res, err := core.Run(b, w, p)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", b.Name(), w.WorkloadName(), err)
 			}

@@ -357,33 +357,17 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("blender: n must be positive, got %d", n)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	s := seed + int64(i)
+	if s%5 == 0 {
+		s++
 	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		if s%5 == 0 {
-			s++
-		}
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Kind: SceneKind(i % 2), Detail: 3 + i%6, SceneSeed: s,
-			StartFrame: i, Frames: 1 + i%4, W: 64, H: 48,
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Kind: SceneKind(i % 2), Detail: 3 + i%6, SceneSeed: s,
+		StartFrame: i, Frames: 1 + i%4, W: 64, H: 48,
+	}, nil
 }
 
 // prepared holds the built, checked scene; the renderer animates per frame
@@ -394,7 +378,7 @@ type prepared struct {
 	sc *Scene
 }
 
-// Prepare implements core.Preparer: build and validate the scene once,
+// Prepare implements core.Benchmark: build and validate the scene once,
 // uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	bw, ok := w.(Workload)

@@ -305,37 +305,21 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cactubssn: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Params: Params{
-				N:           12 + int(s%4)*4,
-				Steps:       6 + int(s%5)*4,
-				Courant:     0.05 + 0.025*float64(s%3),
-				Dissipation: 0.005 * float64(s%4),
-				Amplitude:   0.03 + 0.02*float64(s%4),
-				Sigma:       1.5 + 0.5*float64(s%3),
-				Lapse:       1 + float64(s%3),
-			},
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	s := seed + int64(i)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Params: Params{
+			N:           12 + int(s%4)*4,
+			Steps:       6 + int(s%5)*4,
+			Courant:     0.05 + 0.025*float64(s%3),
+			Dissipation: 0.005 * float64(s%4),
+			Amplitude:   0.03 + 0.02*float64(s%4),
+			Sigma:       1.5 + 0.5*float64(s%3),
+			Lapse:       1 + float64(s%3),
+		},
+	}, nil
 }
 
 // prepared wraps the workload: grid allocation and initial data are part of
@@ -346,7 +330,7 @@ type prepared struct {
 	cw Workload
 }
 
-// Prepare implements core.Preparer.
+// Prepare implements core.Benchmark.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	cw, ok := w.(Workload)
 	if !ok {

@@ -113,28 +113,10 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("deepsjeng: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		out = append(out, workloadFromPool(
-			core.GeneratedName(seed, i), core.KindAlberta, seed+int64(i), 8, 3, 5))
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: analyze every position to its depth. It is
-// exactly Prepare followed by Execute, so prepared and cold runs share one
-// code path.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	return workloadFromPool(
+		core.GeneratedName(seed, i), core.KindAlberta, seed+int64(i), 8, 3, 5), nil
 }
 
 // prepared is the workload's parsed positions (immutable after Prepare)
@@ -150,7 +132,7 @@ type prepared struct {
 	searcher *Searcher
 }
 
-// Prepare implements core.Preparer: parse every FEN once, uninstrumented.
+// Prepare implements core.Benchmark: parse every FEN once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	dw, ok := w.(Workload)
 	if !ok {

@@ -220,7 +220,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,21 +239,21 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloads(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(5, 3)
+	ws, err := core.GenerateWorkloads(b, 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ws) != 3 {
 		t.Fatalf("got %d workloads", len(ws))
 	}
-	if _, err := b.GenerateWorkloads(5, 0); err == nil {
+	if _, err := core.GenerateWorkloads(b, 5, 0); err == nil {
 		t.Error("n=0 should fail")
 	}
 }

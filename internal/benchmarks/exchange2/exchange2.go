@@ -71,30 +71,14 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("exchange2: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		out = append(out, Workload{
-			Meta:        core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			SeedIndices: pickSeeds(seed+int64(i), 4+i%8),
-			PerSeed:     6 + i%10,
-			RNGSeed:     seed + int64(i),
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	return Workload{
+		Meta:        core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		SeedIndices: pickSeeds(seed+int64(i), 4+i%8),
+		PerSeed:     6 + i%10,
+		RNGSeed:     seed + int64(i),
+	}, nil
 }
 
 // prepared wraps the workload after validating its seed indices: puzzle
@@ -105,7 +89,7 @@ type prepared struct {
 	xw Workload
 }
 
-// Prepare implements core.Preparer.
+// Prepare implements core.Benchmark.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	xw, ok := w.(Workload)
 	if !ok {

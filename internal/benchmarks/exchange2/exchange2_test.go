@@ -167,7 +167,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +191,11 @@ func TestBenchmarkDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := b.Run(w, perf.New())
+	r1, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := b.Run(w, perf.New())
+	r2, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,21 +205,21 @@ func TestBenchmarkDeterminism(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloads(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(4, 3)
+	ws, err := core.GenerateWorkloads(b, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ws) != 3 {
 		t.Fatalf("generated %d", len(ws))
 	}
-	if _, err := b.GenerateWorkloads(4, 0); err == nil {
+	if _, err := core.GenerateWorkloads(b, 4, 0); err == nil {
 		t.Error("n=0 should fail")
 	}
 }

@@ -169,47 +169,29 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gcc: n must be positive, got %d", n)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	p := GenParams{
+		Functions: 8 + (i%5)*8,
+		LoopDepth: 1 + i%3,
+		ExprDepth: 2 + i%4,
+		Arrays:    1 + i%3,
+		Seed:      seed + int64(i),
 	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		p := GenParams{
-			Functions: 8 + (i%5)*8,
-			LoopDepth: 1 + i%3,
-			ExprDepth: 2 + i%4,
-			Arrays:    1 + i%3,
-			Seed:      seed + int64(i),
-		}
-		// Clamp main's iteration count by the program shape: validation
-		// work scales as ITERS × Functions × (loop bound)^LoopDepth, and
-		// an unlucky draw at the heavy end (40 functions, depth-3 loops)
-		// can otherwise exceed the VM's validation step limit. Inventory
-		// workloads keep MaxIters zero — their programs are pinned by
-		// baselines and never change.
-		if cap := 512 / (p.Functions * p.LoopDepth * p.LoopDepth); cap < 32 {
-			p.MaxIters = max(2, cap)
-		}
-		out = append(out, Workload{
-			Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Source: GenerateProgram(p),
-			Level:  cc.OptLevel(i % 4),
-		})
+	// Clamp main's iteration count by the program shape: validation
+	// work scales as ITERS × Functions × (loop bound)^LoopDepth, and
+	// an unlucky draw at the heavy end (40 functions, depth-3 loops)
+	// can otherwise exceed the VM's validation step limit. Inventory
+	// workloads keep MaxIters zero — their programs are pinned by
+	// baselines and never change.
+	if cap := 512 / (p.Functions * p.LoopDepth * p.LoopDepth); cap < 32 {
+		p.MaxIters = max(2, cap)
 	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: the measured work is the compilation
-// itself (as in SPEC's gcc); the compiled unit is then executed briefly,
-// unprofiled, to validate the generated code.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	return Workload{
+		Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Source: GenerateProgram(p),
+		Level:  cc.OptLevel(i % 4),
+	}, nil
 }
 
 // prepared wraps the workload, whose source text is already the benchmark's
@@ -222,7 +204,7 @@ type prepared struct {
 	sc *cc.Scratch
 }
 
-// Prepare implements core.Preparer.
+// Prepare implements core.Benchmark.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	gw, ok := w.(Workload)
 	if !ok {

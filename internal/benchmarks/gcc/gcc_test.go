@@ -114,7 +114,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAllWorkloadsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range ws {
-		if _, err := b.Run(w, perf.New()); err != nil {
+		if _, err := core.Run(b, w, perf.New()); err != nil {
 			t.Errorf("workload %s: %v", w.WorkloadName(), err)
 		}
 	}
@@ -165,11 +165,11 @@ func TestSameSourceDifferentLevelsDifferentChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, err := b.Run(w0, perf.New())
+	r0, err := core.Run(b, w0, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := b.Run(w1, perf.New())
+	r1, err := core.Run(b, w1, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +179,14 @@ func TestSameSourceDifferentLevelsDifferentChecksums(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloadsCompile(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(55, 4)
+	ws, err := core.GenerateWorkloads(b, 55, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,12 @@ func TestReplaceWord(t *testing.T) {
 func TestGeneratedWorkloadsValidateAtHeavyShapes(t *testing.T) {
 	b := New()
 	for _, seed := range []int64{1, 7} {
-		ws, err := b.GenerateWorkloads(seed, 90)
+		ws, err := core.GenerateWorkloads(b, seed, 90)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, i := range []int{29, 59, 89} {
-			if _, err := b.Run(ws[i], perf.New()); err != nil {
+			if _, err := core.Run(b, ws[i], perf.New()); err != nil {
 				t.Errorf("seed %d index %d: %v", seed, i, err)
 			}
 		}

@@ -2,6 +2,7 @@ package benchmarks
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -34,7 +35,7 @@ func generatorBenchmarks(t *testing.T) []core.Benchmark {
 func TestGeneratorProvenanceNames(t *testing.T) {
 	const seed, n = 77, 4
 	for _, b := range generatorBenchmarks(t) {
-		ws, err := b.(core.Generator).GenerateWorkloads(seed, n)
+		ws, err := core.GenerateWorkloads(b.(core.Generator), seed, n)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
@@ -59,11 +60,11 @@ func TestGeneratorPrefixStability(t *testing.T) {
 	const seed = 31
 	for _, b := range generatorBenchmarks(t) {
 		gen := b.(core.Generator)
-		short, err := gen.GenerateWorkloads(seed, 2)
+		short, err := core.GenerateWorkloads(gen, seed, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
-		long, err := gen.GenerateWorkloads(seed, 5)
+		long, err := core.GenerateWorkloads(gen, seed, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
@@ -83,11 +84,11 @@ func TestGeneratorSameSeedDeterminism(t *testing.T) {
 	const seed, n = 42, 2
 	for _, b := range generatorBenchmarks(t) {
 		gen := b.(core.Generator)
-		a, err := gen.GenerateWorkloads(seed, n)
+		a, err := core.GenerateWorkloads(gen, seed, n)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
-		c, err := gen.GenerateWorkloads(seed, n)
+		c, err := core.GenerateWorkloads(gen, seed, n)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
@@ -110,12 +111,12 @@ func TestGeneratorSameSeedDeterminism(t *testing.T) {
 		// Execute the first workload of each generation: checksums and the
 		// full modeled report must be bit-identical.
 		pa := perf.New()
-		ra, err := b.Run(a[0], pa)
+		ra, err := core.Run(b, a[0], pa)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", b.Name(), a[0].WorkloadName(), err)
 		}
 		pc := perf.New()
-		rc, err := b.Run(c[0], pc)
+		rc, err := core.Run(b, c[0], pc)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", b.Name(), c[0].WorkloadName(), err)
 		}
@@ -137,15 +138,15 @@ func TestGeneratorSameSeedDeterminism(t *testing.T) {
 // execute on remote workers that never saw the original generation call.
 func TestResolveWorkloadRegenerates(t *testing.T) {
 	for _, b := range generatorBenchmarks(t) {
-		ws, err := b.(core.Generator).GenerateWorkloads(9, 3)
+		want, err := b.(core.Generator).GenerateWorkload(9, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
-		got, err := core.ResolveWorkload(b, ws[2].WorkloadName())
+		got, err := core.ResolveWorkload(b, want.WorkloadName())
 		if err != nil {
-			t.Fatalf("%s: resolve %s: %v", b.Name(), ws[2].WorkloadName(), err)
+			t.Fatalf("%s: resolve %s: %v", b.Name(), want.WorkloadName(), err)
 		}
-		if !reflect.DeepEqual(got, ws[2]) {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: resolved workload differs from the generated original", b.Name())
 		}
 		// Inventory names keep resolving through the same entry point.
@@ -160,4 +161,123 @@ func TestResolveWorkloadRegenerates(t *testing.T) {
 			t.Errorf("%s: unknown name resolved", b.Name())
 		}
 	}
+}
+
+// TestInventoryNamesOutsideGeneratedNamespace pins the namespace split
+// ResolveWorkload depends on: it resolves a generated name without
+// building the inventory, so no inventory workload of any benchmark may
+// carry a name ParseGeneratedName accepts.
+func TestInventoryNamesOutsideGeneratedNamespace(t *testing.T) {
+	for _, b := range All() {
+		ws, err := b.Workloads()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name(), err)
+		}
+		for _, w := range ws {
+			if _, _, ok := core.ParseGeneratedName(w.WorkloadName()); ok {
+				t.Errorf("%s: inventory workload %q is in the generated namespace", b.Name(), w.WorkloadName())
+			}
+		}
+	}
+}
+
+// TestGeneratorDomainCorners checks every generator at the four corners
+// of the generated domain: each workload generates, keeps its provenance
+// name, and prepares; the (max seed, max index) workload also executes.
+func TestGeneratorDomainCorners(t *testing.T) {
+	const maxSeed, maxIndex = core.MaxGeneratedSeed, core.MaxGeneratedIndex
+	corners := []struct {
+		seed  int64
+		index int
+	}{{0, 0}, {0, maxIndex}, {maxSeed, 0}, {maxSeed, maxIndex}}
+	for _, b := range generatorBenchmarks(t) {
+		b := b
+		t.Run(b.Name(), func(t *testing.T) {
+			t.Parallel()
+			for _, c := range corners {
+				w, err := b.(core.Generator).GenerateWorkload(c.seed, c.index)
+				if err != nil {
+					t.Fatalf("generate (%d, %d): %v", c.seed, c.index, err)
+				}
+				if want := core.GeneratedName(c.seed, c.index); w.WorkloadName() != want {
+					t.Errorf("workload named %q, want %q", w.WorkloadName(), want)
+				}
+				pw, err := b.Prepare(w)
+				if err != nil {
+					t.Fatalf("prepare %s: %v", w.WorkloadName(), err)
+				}
+				if c.seed == maxSeed && c.index == maxIndex {
+					if _, err := pw.Execute(nil); err != nil {
+						t.Errorf("execute %s: %v", w.WorkloadName(), err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// cachedInventory serves a benchmark's inventory from memory. Rebuilding
+// leela's or xalancbmk's inventory costs tens of milliseconds, which would
+// leave a fuzzer little time for anything else.
+type cachedInventory struct {
+	core.Benchmark
+	ws []core.Workload
+}
+
+func (c cachedInventory) Workloads() ([]core.Workload, error) { return c.ws, nil }
+
+// cachedGenerator is a cachedInventory that keeps its benchmark's
+// generator.
+type cachedGenerator struct {
+	cachedInventory
+	core.Generator
+}
+
+// FuzzResolveWorkload drives provenance names from untrusted input (a
+// worker's cell request) through ResolveWorkload over the real suite. It
+// must never panic, and an accepted generated name must round-trip and
+// resolve to exactly GenerateWorkload(seed, index).
+func FuzzResolveWorkload(f *testing.F) {
+	var bs []core.Benchmark
+	for _, b := range All() {
+		ws, err := b.Workloads()
+		if err != nil {
+			f.Fatal(err)
+		}
+		c := cachedInventory{Benchmark: b, ws: ws}
+		if g, ok := b.(core.Generator); ok {
+			bs = append(bs, cachedGenerator{c, g})
+		} else {
+			bs = append(bs, c)
+		}
+	}
+	xalan := uint8(slices.IndexFunc(bs, func(b core.Benchmark) bool { return b.Name() == "523.xalancbmk_r" }))
+	for _, name := range []string{"gen.s-7.1", "gen.s9223372036854775805.5", "gen.s1.2147483647", "gen.s01.2", "refrate"} {
+		f.Add(xalan, name)
+	}
+	f.Fuzz(func(t *testing.T, benchIndex uint8, name string) {
+		b := bs[int(benchIndex)%len(bs)]
+		w, err := core.ResolveWorkload(b, name)
+		seed, index, generated := core.ParseGeneratedName(name)
+		gen, isGen := b.(core.Generator)
+		if !generated || !isGen {
+			if err == nil && w.WorkloadName() != name {
+				t.Fatalf("%s: %q resolved to %q", b.Name(), name, w.WorkloadName())
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: generated name %q did not resolve: %v", b.Name(), name, err)
+		}
+		if core.GeneratedName(seed, index) != name {
+			t.Fatalf("%q parsed to (%d, %d), which renders differently", name, seed, index)
+		}
+		want, err := gen.GenerateWorkload(seed, index)
+		if err != nil {
+			t.Fatalf("%s: GenerateWorkload(%d, %d): %v", b.Name(), seed, index, err)
+		}
+		if !reflect.DeepEqual(w, want) {
+			t.Fatalf("%s: %q resolved to a workload other than GenerateWorkload(%d, %d)", b.Name(), name, seed, index)
+		}
+	})
 }

@@ -363,33 +363,16 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("lbm: n must be positive, got %d", n)
-	}
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
 	shapes := []ObstacleKind{ObstacleSphere, ObstacleBox, ObstacleCylinder, ObstacleRandom}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			NX:   12 + (i%3)*4, NY: 10 + (i%2)*4, NZ: 10,
-			Kind: shapes[i%len(shapes)], Size: 0.2 + 0.1*float64(i%4),
-			Density: 0.04 * float64(i%3), Seed: seed + int64(i),
-			Params: Params{Steps: 12 + (i%4)*8, Omega: 0.8 + 0.2*float64(i%5), Accel: 0.003},
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark. It is exactly Prepare followed by Execute,
-// so prepared and cold runs share one code path.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		NX:   12 + (i%3)*4, NY: 10 + (i%2)*4, NZ: 10,
+		Kind: shapes[i%len(shapes)], Size: 0.2 + 0.1*float64(i%4),
+		Density: 0.04 * float64(i%3), Seed: seed + int64(i),
+		Params: Params{Steps: 12 + (i%4)*8, Omega: 0.8 + 0.2*float64(i%5), Accel: 0.003},
+	}, nil
 }
 
 // prepared holds the generated geometry (immutable after Prepare) and the
@@ -401,7 +384,7 @@ type prepared struct {
 	sim *Sim
 }
 
-// Prepare implements core.Preparer: generate the geometry and allocate the
+// Prepare implements core.Benchmark: generate the geometry and allocate the
 // lattice once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	lw, ok := w.(Workload)

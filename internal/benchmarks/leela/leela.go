@@ -229,32 +229,10 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("leela: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		w, err := buildWorkload(core.GeneratedName(seed, i), core.KindAlberta,
-			seed+int64(i), []int{7, 9}, 20+i%10, 12, 6)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: play each incomplete game to the end. It
-// is exactly Prepare followed by Execute, so prepared and cold runs share
-// one code path.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	return buildWorkload(core.GeneratedName(seed, i), core.KindAlberta,
+		seed+int64(i), []int{7, 9}, 20+i%10, 12, 6)
 }
 
 // prepared holds each game's replayed starting position (immutable after
@@ -271,7 +249,7 @@ type prepared struct {
 	engines []*Engine
 }
 
-// Prepare implements core.Preparer: parse and replay every SGF once,
+// Prepare implements core.Benchmark: parse and replay every SGF once,
 // uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	lw, ok := w.(Workload)

@@ -76,37 +76,19 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator: fresh vehicle-scheduling
+// GenerateWorkload implements core.Generator: fresh vehicle-scheduling
 // problems from a seed, echoing the paper's "researchers can generate as
 // many workloads as they wish".
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("mcf: n must be positive, got %d", n)
-	}
-	out := make([]core.Workload, 0, n)
-	for i := 0; i < n; i++ {
-		p := DefaultCityParams()
-		p.Seed = seed + int64(i)*7919
-		p.Trips = 150 + int(p.Seed%5)*40
-		p.Connectivity = 40 + int(p.Seed%4)*40
-		p.PeakSharpness = 0.5 + float64(p.Seed%3)
-		out = append(out, Workload{
-			Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Params: p,
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: generate the city, build the instance, and
-// solve it with the network simplex. It is exactly Prepare followed by
-// Execute, so prepared and cold runs share one code path.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	p := DefaultCityParams()
+	p.Seed = seed + int64(i)*7919
+	p.Trips = 150 + int(p.Seed%5)*40
+	p.Connectivity = 40 + int(p.Seed%4)*40
+	p.PeakSharpness = 0.5 + float64(p.Seed%3)
+	return Workload{
+		Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Params: p,
+	}, nil
 }
 
 // prepared holds the generated city and flow instance, both immutable after
@@ -119,7 +101,7 @@ type prepared struct {
 	in   *Instance
 }
 
-// Prepare implements core.Preparer: generate the city and build the flow
+// Prepare implements core.Benchmark: generate the city and build the flow
 // instance once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	mw, ok := w.(Workload)
@@ -133,7 +115,8 @@ func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	return &prepared{b: b, mw: mw, city: city, in: BuildInstance(city, mw.Params)}, nil
 }
 
-// Execute implements core.PreparedWorkload.
+// Execute implements core.PreparedWorkload: solve the prepared instance
+// with the network simplex.
 func (pw *prepared) Execute(p *perf.Profiler) (core.Result, error) {
 	b, mw, city, in := pw.b, pw.mw, pw.city, pw.in
 	sol, err := SolveSimplex(in, p)

@@ -324,11 +324,11 @@ func TestBenchmarkRunDeterministicChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := b.Run(w, perf.New())
+	r1, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := b.Run(w, perf.New())
+	r2, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestBenchmarkRunDeterministicChecksum(t *testing.T) {
 
 func TestBenchmarkRunRejectsForeignWorkload(t *testing.T) {
 	b := New()
-	_, err := b.Run(core.Meta{Name: "x"}, perf.New())
+	_, err := core.Run(b, core.Meta{Name: "x"}, perf.New())
 	if !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v, want ErrUnknownWorkload", err)
 	}
@@ -347,7 +347,7 @@ func TestBenchmarkRunRejectsForeignWorkload(t *testing.T) {
 
 func TestGenerateWorkloads(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(42, 4)
+	ws, err := core.GenerateWorkloads(b, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestGenerateWorkloads(t *testing.T) {
 		}
 	}
 	// Deterministic in seed.
-	ws2, err := b.GenerateWorkloads(42, 4)
+	ws2, err := core.GenerateWorkloads(b, 42, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestGenerateWorkloads(t *testing.T) {
 			t.Errorf("workload %d params differ across identical seeds", i)
 		}
 	}
-	if _, err := b.GenerateWorkloads(1, 0); err == nil {
+	if _, err := core.GenerateWorkloads(b, 1, 0); err == nil {
 		t.Error("n=0 should be rejected")
 	}
 }
@@ -381,7 +381,7 @@ func TestProfiledRunProducesTopDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	if _, err := b.Run(w, p); err != nil {
+	if _, err := core.Run(b, w, p); err != nil {
 		t.Fatal(err)
 	}
 	rep := p.Report()

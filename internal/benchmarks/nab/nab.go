@@ -359,31 +359,15 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("nab: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		p := DefaultParams()
-		p.Steps = 20 + (i%4)*10
-		out = append(out, Workload{
-			Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			PDB:    GeneratePDB(fmt.Sprintf("gen%d", i), 60+(i%6)*30, seed+int64(i)),
-			Params: p,
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	p := DefaultParams()
+	p.Steps = 20 + (i%4)*10
+	return Workload{
+		Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		PDB:    GeneratePDB(fmt.Sprintf("gen%d", i), 60+(i%6)*30, seed+int64(i)),
+		Params: p,
+	}, nil
 }
 
 // prepared holds the parsed molecule. The simulation integrates atom
@@ -397,7 +381,7 @@ type prepared struct {
 	work Molecule
 }
 
-// Prepare implements core.Preparer: parse the PDB once, uninstrumented.
+// Prepare implements core.Benchmark: parse the PDB once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	nw, ok := w.(Workload)
 	if !ok {

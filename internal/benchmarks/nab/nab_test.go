@@ -178,7 +178,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,19 +194,19 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloadsRun(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(31, 2)
+	ws, err := core.GenerateWorkloads(b, 31, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range ws {
-		if _, err := b.Run(w, perf.New()); err != nil {
+		if _, err := core.Run(b, w, perf.New()); err != nil {
 			t.Errorf("%s: %v", w.WorkloadName(), err)
 		}
 	}

@@ -68,36 +68,20 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator: random topologies of varying
+// GenerateWorkload implements core.Generator: random topologies of varying
 // size and edge density.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("omnetpp: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		nodes := 8 + (i%4)*4
-		edges := nodes - 1 + (i%3)*nodes/2
-		net, err := RandomTopology(nodes, edges, seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Workload{
-			Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			NED:    net.FormatNED(),
-			Config: Config{DurationUS: 100_000, MeanInterarrivalUS: 60, Seed: seed + int64(i)},
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	nodes := 8 + (i%4)*4
+	edges := nodes - 1 + (i%3)*nodes/2
+	net, err := RandomTopology(nodes, edges, seed+int64(i))
 	if err != nil {
-		return core.Result{}, err
+		return nil, err
 	}
-	return pw.Execute(p)
+	return Workload{
+		Meta:   core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		NED:    net.FormatNED(),
+		Config: Config{DurationUS: 100_000, MeanInterarrivalUS: 60, Seed: seed + int64(i)},
+	}, nil
 }
 
 // prepared holds the parsed network and the simulator whose routing tables
@@ -109,7 +93,7 @@ type prepared struct {
 	sim *Simulator
 }
 
-// Prepare implements core.Preparer: parse the NED file and build the
+// Prepare implements core.Benchmark: parse the NED file and build the
 // routing tables once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	ow, ok := w.(Workload)

@@ -271,7 +271,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,14 +287,14 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloads(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(3, 4)
+	ws, err := core.GenerateWorkloads(b, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -343,33 +343,17 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("parest: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Params: Params{
-				N: 10 + int(s%4)*2, Blocks: 2 + int(s%3),
-				Noise: 0.01 * float64(s%5), Lambda: 0.01 + 0.01*float64(s%3),
-				OuterIters: 3 + int(s%3), CGTol: 1e-7, Seed: s,
-			},
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	s := seed + int64(i)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Params: Params{
+			N: 10 + int(s%4)*2, Blocks: 2 + int(s%3),
+			Noise: 0.01 * float64(s%5), Lambda: 0.01 + 0.01*float64(s%3),
+			OuterIters: 3 + int(s%3), CGTol: 1e-7, Seed: s,
+		},
+	}, nil
 }
 
 // prepared wraps the workload: problem assembly and estimation are both part
@@ -380,7 +364,7 @@ type prepared struct {
 	pw Workload
 }
 
-// Prepare implements core.Preparer.
+// Prepare implements core.Benchmark.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	pw, ok := w.(Workload)
 	if !ok {

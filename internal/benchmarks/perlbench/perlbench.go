@@ -106,15 +106,6 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
-}
-
 // prepared holds the compiled program plus its recycled run scratch. The
 // script is bytecode-compiled once at Prepare; Execute is the flat VM
 // dispatch loop in bytecode.go. The compiler accepts every script Parse
@@ -127,7 +118,7 @@ type prepared struct {
 	corpus []Value
 }
 
-// Prepare implements core.Preparer: parse and compile the script once,
+// Prepare implements core.Benchmark: parse and compile the script once,
 // uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	pw, ok := w.(Workload)

@@ -249,7 +249,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestWordFreqScriptOutputShape(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -172,32 +172,16 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("povray: n must be positive, got %d", n)
-	}
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
 	kinds := []SceneKind{SceneCollection, SceneLumpy, ScenePrimitive}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		out = append(out, Workload{
-			Meta:       core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Scene:      kinds[i%len(kinds)],
-			Complexity: 8 + (i%4)*6,
-			W:          64, H: 48,
-			Seed: seed + int64(i),
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	return Workload{
+		Meta:       core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Scene:      kinds[i%len(kinds)],
+		Complexity: 8 + (i%4)*6,
+		W:          64, H: 48,
+		Seed: seed + int64(i),
+	}, nil
 }
 
 // preparedScene holds the built scene, immutable after Prepare: the tracer
@@ -208,7 +192,7 @@ type preparedScene struct {
 	sc *Scene
 }
 
-// Prepare implements core.Preparer: build the scene once, uninstrumented.
+// Prepare implements core.Benchmark: build the scene once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	pw, ok := w.(Workload)
 	if !ok {

@@ -99,7 +99,7 @@ func TestEveryBenchmarkRunsDeterministically(t *testing.T) {
 			}
 			run := func() (uint64, uint64) {
 				p := perf.New()
-				res, err := b.Run(w, p)
+				res, err := core.Run(b, w, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,12 +154,12 @@ func TestTrainAndRefrateDiffer(t *testing.T) {
 				t.Fatal(err)
 			}
 			p1 := perf.New()
-			r1, err := b.Run(train, p1)
+			r1, err := core.Run(b, train, p1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p2 := perf.New()
-			r2, err := b.Run(ref, p2)
+			r2, err := core.Run(b, ref, p2)
 			if err != nil {
 				t.Fatal(err)
 			}

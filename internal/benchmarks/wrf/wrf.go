@@ -353,38 +353,22 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("wrf: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Params: Params{
-				N: 24 + int(s%3)*8, Steps: 15 + int(s%4)*10, Dt: 0.02,
-				Dataset: StormDataset(s % 2),
-				Physics: Physics{
-					Microphysics:     s%2 == 0,
-					Radiation:        s%3 != 0,
-					SurfaceDrag:      s%5 != 0,
-					PeriodicBoundary: s%7 != 0,
-				},
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	s := seed + int64(i)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Params: Params{
+			N: 24 + int(s%3)*8, Steps: 15 + int(s%4)*10, Dt: 0.02,
+			Dataset: StormDataset(s % 2),
+			Physics: Physics{
+				Microphysics:     s%2 == 0,
+				Radiation:        s%3 != 0,
+				SurfaceDrag:      s%5 != 0,
+				PeriodicBoundary: s%7 != 0,
 			},
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+		},
+	}, nil
 }
 
 // prepared wraps the workload: model construction initializes the fields the
@@ -395,7 +379,7 @@ type prepared struct {
 	ww Workload
 }
 
-// Prepare implements core.Preparer.
+// Prepare implements core.Benchmark.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	ww, ok := w.(Workload)
 	if !ok {

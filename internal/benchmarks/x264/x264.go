@@ -159,36 +159,18 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("x264: n must be positive, got %d", n)
-	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		out = append(out, Workload{
-			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Video: VideoParams{
-				W: 96 + (i%3)*16, H: 64 + (i%3)*16,
-				Frames: 6 + i%6, Motion: 1 + i%6, Noise: (i % 4) * 8,
-				Seed: seed + int64(i),
-			},
-			QP: 8 + (i%4)*4, KeyInterval: 1 + i%6, TwoPass: i%3 == 0,
-			PSNRThreshold: 24,
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: decode the stored input video, re-encode
-// it, decode the result and validate frame quality — the benchmark's
-// ldecod_r → x264_r → imagevalidate_r pipeline.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Video: VideoParams{
+			W: 96 + (i%3)*16, H: 64 + (i%3)*16,
+			Frames: 6 + i%6, Motion: 1 + i%6, Noise: (i % 4) * 8,
+			Seed: seed + int64(i),
+		},
+		QP: 8 + (i%4)*4, KeyInterval: 1 + i%6, TwoPass: i%3 == 0,
+		PSNRThreshold: 24,
+	}, nil
 }
 
 // prepared holds the stored .264 master bitstream, immutable after Prepare.
@@ -201,7 +183,7 @@ type prepared struct {
 	stored []byte
 }
 
-// Prepare implements core.Preparer: synthesize the source video and encode
+// Prepare implements core.Benchmark: synthesize the source video and encode
 // the high-quality master, both uninstrumented (the stored .264 input is
 // prepared outside the measured run, as in SPEC's harness).
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {

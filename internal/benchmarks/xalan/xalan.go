@@ -151,36 +151,19 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("xalan: n must be positive, got %d", n)
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
+	s := seed + int64(i)
+	if i%2 == 0 {
+		return Workload{
+			Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+			XML:  GenerateRecordsXML(500+int(s%7)*500, s), Stylesheet: RecordsStylesheet,
+		}, nil
 	}
-	var out []core.Workload
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		if i%2 == 0 {
-			out = append(out, Workload{
-				Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-				XML:  GenerateRecordsXML(500+int(s%7)*500, s), Stylesheet: RecordsStylesheet,
-			})
-		} else {
-			out = append(out, Workload{
-				Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-				XML:  GenerateAuctionXML(100+int(s%5)*100, 300, 700, s), Stylesheet: AuctionStylesheet,
-			})
-		}
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	return Workload{
+		Meta: core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		XML:  GenerateAuctionXML(100+int(s%5)*100, 300, 700, s), Stylesheet: AuctionStylesheet,
+	}, nil
 }
 
 // prepared carries the stylesheet lowered to its instruction-stream form
@@ -194,7 +177,7 @@ type prepared struct {
 	cs *compiledSheet
 }
 
-// Prepare implements core.Preparer: parse the stylesheet and lower its
+// Prepare implements core.Benchmark: parse the stylesheet and lower its
 // templates to the compiled instruction stream once, uninstrumented.
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	xw, ok := w.(Workload)

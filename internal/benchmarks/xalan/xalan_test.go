@@ -244,7 +244,7 @@ func TestBenchmarkRunProfiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,11 +265,11 @@ func TestBenchmarkDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := b.Run(w, perf.New())
+	r1, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := b.Run(w, perf.New())
+	r2, err := core.Run(b, w, perf.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,14 +279,14 @@ func TestBenchmarkDeterminism(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestGenerateWorkloadsParseable(t *testing.T) {
 	b := New()
-	ws, err := b.GenerateWorkloads(11, 4)
+	ws, err := core.GenerateWorkloads(b, 11, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

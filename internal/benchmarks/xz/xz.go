@@ -164,38 +164,19 @@ func (b *Benchmark) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-// GenerateWorkloads implements core.Generator.
-func (b *Benchmark) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("xz: n must be positive, got %d", n)
-	}
+// GenerateWorkload implements core.Generator.
+func (b *Benchmark) GenerateWorkload(seed int64, i int) (core.Workload, error) {
 	kinds := []DataKind{DataText, DataRandom, DataRepeat, DataMixed}
 	dicts := []int{64 * kib, 128 * kib, 256 * kib}
-	out := make([]core.Workload, 0, n)
-	for i := 0; i < n; i++ {
-		s := seed + int64(i)
-		out = append(out, Workload{
-			Meta:      core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
-			Data:      kinds[i%len(kinds)],
-			Size:      (64 + int(s%8)*48) * kib,
-			BlockSize: 4 * kib,
-			DictSize:  dicts[i%len(dicts)],
-			Seed:      s*2654435761 + 17,
-		})
-	}
-	return out, nil
-}
-
-// Run implements core.Benchmark: decompress the stored input, recompress,
-// decompress again, validate (the SPEC xz execution structure). It is
-// exactly Prepare followed by Execute, so prepared and cold runs share one
-// code path.
-func (b *Benchmark) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return core.Result{}, err
-	}
-	return pw.Execute(p)
+	s := seed + int64(i)
+	return Workload{
+		Meta:      core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta},
+		Data:      kinds[i%len(kinds)],
+		Size:      (64 + int(s%8)*48) * kib,
+		BlockSize: 4 * kib,
+		DictSize:  dicts[i%len(dicts)],
+		Seed:      s*2654435761 + 17,
+	}, nil
 }
 
 // prepared holds the stored (pre-compressed) input, immutable after
@@ -214,7 +195,7 @@ type prepared struct {
 	rtBuf   []byte
 }
 
-// Prepare implements core.Preparer: generate the raw payload and compress
+// Prepare implements core.Benchmark: generate the raw payload and compress
 // it into the stored input, both uninstrumented (the stored input is
 // prepared outside the measured run, as in SPEC's harness).
 func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
@@ -230,7 +211,9 @@ func (b *Benchmark) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	return &prepared{b: b, xw: xw, stored: stored}, nil
 }
 
-// Execute implements core.PreparedWorkload: the three measured phases.
+// Execute implements core.PreparedWorkload: the three measured phases —
+// decompress the stored input, recompress, decompress again — then
+// validate (the SPEC xz execution structure).
 func (pw *prepared) Execute(p *perf.Profiler) (core.Result, error) {
 	b, xw := pw.b, pw.xw
 	// Measured phase 1: decompress the stored file to memory.

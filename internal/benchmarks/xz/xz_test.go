@@ -195,7 +195,7 @@ func TestBenchmarkRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := perf.New()
-	r, err := b.Run(w, p)
+	r, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestBenchmarkRun(t *testing.T) {
 }
 
 func TestBenchmarkRejectsForeignWorkload(t *testing.T) {
-	if _, err := New().Run(core.Meta{Name: "w"}, perf.New()); !errors.Is(err, core.ErrUnknownWorkload) {
+	if _, err := New().Prepare(core.Meta{Name: "w"}); !errors.Is(err, core.ErrUnknownWorkload) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestCoverageShiftsWithCompressibility(t *testing.T) {
 			Meta: core.Meta{Name: "probe", Kind: core.KindAlberta},
 			Data: dk, Size: 96 * kib, BlockSize: block, DictSize: 64 * kib, Seed: 7,
 		}
-		if _, err := b.Run(w, p); err != nil {
+		if _, err := core.Run(b, w, p); err != nil {
 			t.Fatal(err)
 		}
 		return p.Report().Coverage
@@ -244,11 +244,11 @@ func TestCoverageShiftsWithCompressibility(t *testing.T) {
 
 func TestGenerateWorkloadsDeterministic(t *testing.T) {
 	b := New()
-	a1, err := b.GenerateWorkloads(9, 5)
+	a1, err := core.GenerateWorkloads(b, 9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := b.GenerateWorkloads(9, 5)
+	a2, err := core.GenerateWorkloads(b, 9, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestGenerateWorkloadsDeterministic(t *testing.T) {
 			t.Errorf("workload %d differs", i)
 		}
 	}
-	if _, err := b.GenerateWorkloads(1, -1); err == nil {
+	if _, err := core.GenerateWorkloads(b, 1, -1); err == nil {
 		t.Error("negative n should fail")
 	}
 }

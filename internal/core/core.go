@@ -2,7 +2,9 @@
 // program under study, a Workload is one input to it, and a Result is one
 // profiled execution. The Alberta contribution — additional workloads and
 // generators beyond SPEC's train/refrate pair — is expressed through the
-// Kind taxonomy and the Generator interface.
+// Kind taxonomy and the Generator interface. Every benchmark splits a run
+// into an uninstrumented Prepare and a measured PreparedWorkload.Execute;
+// Run joins the two for a single cold execution.
 package core
 
 import (
@@ -91,8 +93,14 @@ type Benchmark interface {
 	// Workloads returns the full inventory: SPEC-style train and refrate
 	// workloads plus any Alberta workloads. Order is stable.
 	Workloads() ([]Workload, error)
-	// Run executes the benchmark on w, reporting events to p.
-	Run(w Workload, p *perf.Profiler) (Result, error)
+	// Prepare does every piece of input construction for w that does not
+	// belong under measurement — parsing, payload generation, master
+	// encodes — and returns the handle whose Execute is the measured
+	// phase. Prepare must not receive or touch a *perf.Profiler
+	// (albertalint's no-profiler-in-prepare rule enforces this
+	// statically); profiler interaction, including SetFootprint, belongs
+	// in Execute.
+	Prepare(w Workload) (PreparedWorkload, error)
 }
 
 // Generator is implemented by benchmarks that can procedurally create new
@@ -101,24 +109,61 @@ type Benchmark interface {
 // The generated-workload contract, which sweeps and the service's cell
 // cache rely on:
 //
-//   - Determinism in seed: GenerateWorkloads(seed, n) must return the same
-//     n workloads — bit-identical inputs and, when executed, bit-identical
-//     checksums and profiler event streams — on every call, every process,
-//     every platform.
-//   - Prefix stability: GenerateWorkloads(seed, n)[i] must equal
-//     GenerateWorkloads(seed, m)[i] for every i < min(n, m), so a
+//   - Determinism: GenerateWorkload(seed, index) must return the same
+//     workload — bit-identical input and, when executed, bit-identical
+//     checksum and profiler event stream — on every call, every process,
+//     every platform. Each workload depends on (seed, index) alone, so
+//     GenerateWorkloads(g, seed, n) is prefix-stable by construction: a
 //     workload's identity does not depend on the sweep size that first
 //     produced it.
-//   - Provenance naming: workload i must be named GeneratedName(seed, i)
-//     and carry KindAlberta, so the name alone records how to regenerate
-//     the workload (ResolveWorkload does exactly that). Names of inventory
-//     workloads never collide with the generated namespace.
+//   - Provenance naming: workload index must be named
+//     GeneratedName(seed, index) and carry KindAlberta, so the name alone
+//     records how to regenerate the workload (ResolveWorkload does exactly
+//     that, in one call). Names of inventory workloads never collide with
+//     the generated namespace.
+//   - Domain: every (seed, index) with 0 <= seed <= MaxGeneratedSeed and
+//     0 <= index <= MaxGeneratedIndex yields a valid workload. Callers never pass
+//     anything outside it: ParseGeneratedName and GenerateWorkloads reject
+//     it first.
 //
-// internal/benchmarks' generator tests pin all three properties for every
+// internal/benchmarks' generator tests pin these properties for every
 // generator-capable benchmark in the suite.
 type Generator interface {
-	// GenerateWorkloads creates n fresh Alberta-kind workloads from seed.
-	GenerateWorkloads(seed int64, n int) ([]Workload, error)
+	// GenerateWorkload creates the index-th Alberta-kind workload of seed.
+	GenerateWorkload(seed int64, index int) (Workload, error)
+}
+
+// MaxGeneratedSeed and MaxGeneratedIndex bound the generated domain:
+// generator seeds lie in [0, 2^32) and workload indices in [0, 2^31).
+// Every generator is checked at the domain's corners; outside it, seed +
+// index arithmetic in the generators can go negative or overflow.
+const (
+	MaxGeneratedSeed  int64 = 1<<32 - 1
+	MaxGeneratedIndex       = 1<<31 - 1
+)
+
+// inGeneratedDomain reports whether (seed, index) lies in the generated
+// domain.
+func inGeneratedDomain(seed int64, index int) bool {
+	return seed >= 0 && seed <= MaxGeneratedSeed && index >= 0 && index <= MaxGeneratedIndex
+}
+
+// GenerateWorkloads returns workloads 0..n-1 of seed from g. It rejects a
+// seed or count outside the generated domain before g runs.
+func GenerateWorkloads(g Generator, seed int64, n int) ([]Workload, error) {
+	if n <= 0 || !inGeneratedDomain(seed, n-1) {
+		return nil, fmt.Errorf("core: seed %d, count %d: outside the generated domain (0 <= seed <= %d, 1 <= count <= %d)",
+			seed, n, MaxGeneratedSeed, int64(MaxGeneratedIndex)+1)
+	}
+	out := make([]Workload, n)
+	for i := range out {
+		w, err := g.GenerateWorkload(seed, i)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = w
+	}
+	return out, nil
 }
 
 // GeneratedName is the canonical name of the i-th workload generated from
@@ -129,7 +174,8 @@ func GeneratedName(seed int64, index int) string {
 }
 
 // ParseGeneratedName recovers the provenance of a GeneratedName. ok is
-// false for any name outside the generated namespace.
+// false for any name outside the generated namespace, including names
+// whose seed or index lies outside the generated domain.
 func ParseGeneratedName(name string) (seed int64, index int, ok bool) {
 	rest, found := strings.CutPrefix(name, "gen.s")
 	if !found {
@@ -144,7 +190,7 @@ func ParseGeneratedName(name string) (seed int64, index int, ok bool) {
 		return 0, 0, false
 	}
 	index, err = strconv.Atoi(rest[dot+1:])
-	if err != nil || index < 0 {
+	if err != nil || !inGeneratedDomain(seed, index) {
 		return 0, 0, false
 	}
 	// Round-trip exactness rejects aliases like "gen.s01.2".
@@ -154,33 +200,29 @@ func ParseGeneratedName(name string) (seed int64, index int, ok bool) {
 	return seed, index, true
 }
 
-// ResolveWorkload finds a workload by name: the benchmark's inventory
-// first, then — when the name carries generated provenance and the
-// benchmark implements Generator — by regenerating it from the recorded
-// seed and index. This is how a sweep cell can be executed anywhere (a
-// remote worker, a later process) from nothing but its benchmark and
-// workload names.
+// ResolveWorkload finds a workload by name. A generated name is rebuilt
+// from its recorded seed and index with one GenerateWorkload call — the
+// inventory is never built, since inventory names never collide with the
+// generated namespace; any other name is looked up in the inventory. This
+// is how a sweep cell can be executed anywhere (a remote worker, a later
+// process) from nothing but its benchmark and workload names.
 func ResolveWorkload(b Benchmark, name string) (Workload, error) {
-	w, err := FindWorkload(b, name)
-	if err == nil {
-		return w, nil
-	}
 	seed, index, ok := ParseGeneratedName(name)
 	if !ok {
-		return nil, err
+		return FindWorkload(b, name)
 	}
 	gen, isGen := b.(Generator)
 	if !isGen {
 		return nil, fmt.Errorf("%w: %s/%s (benchmark cannot generate workloads)", ErrNoWorkload, b.Name(), name)
 	}
-	ws, gerr := gen.GenerateWorkloads(seed, index+1)
-	if gerr != nil {
-		return nil, fmt.Errorf("core: regenerating %s/%s: %w", b.Name(), name, gerr)
+	w, err := gen.GenerateWorkload(seed, index)
+	if err != nil {
+		return nil, fmt.Errorf("core: regenerating %s/%s: %w", b.Name(), name, err)
 	}
-	if len(ws) <= index || ws[index].WorkloadName() != name {
+	if w.WorkloadName() != name {
 		return nil, fmt.Errorf("core: %s generator violated the provenance contract for %s", b.Name(), name)
 	}
-	return ws[index], nil
+	return w, nil
 }
 
 // PreparedWorkload is a fully constructed benchmark input: the result of
@@ -194,55 +236,37 @@ func ResolveWorkload(b Benchmark, name string) (Workload, error) {
 //     reallocating.
 //
 // Execute must be repeatable: every call on the same handle must produce a
-// Result and a profiler event stream identical to Benchmark.Run on the
-// same workload with a fresh profiler. The harness relies on this to
-// prepare once per (benchmark, workload) cell and reuse the handle across
-// all repetitions.
+// Result and a profiler event stream identical to Run on the same workload
+// with a fresh profiler. The harness relies on this to prepare once per
+// (benchmark, workload) cell and reuse the handle across all repetitions.
 //
 // A PreparedWorkload is not safe for concurrent Execute calls; the harness
 // runs at most one repetition of a cell at a time.
 type PreparedWorkload interface {
 	// Execute runs the measured phase, reporting events to p (which may be
-	// nil for an unprofiled run, like Benchmark.Run).
+	// nil for an unprofiled run).
 	Execute(p *perf.Profiler) (Result, error)
 }
 
-// Preparer is implemented by benchmarks whose Run splits into an
-// uninstrumented prepare phase and a measured execute phase. Prepare does
-// every piece of input construction that does not belong under measurement
-// — parsing, payload generation, master encodes — and must not receive or
-// touch a *perf.Profiler (albertalint's no-profiler-in-prepare rule
-// enforces this statically); profiler interaction, including SetFootprint,
-// belongs in Execute.
-//
-// Benchmarks implementing Preparer must keep Run equivalent to
-// Prepare(w).Execute(p): the conventional implementation is exactly that
-// delegation, which makes the equivalence structural.
-type Preparer interface {
-	Prepare(w Workload) (PreparedWorkload, error)
-}
-
-// PrepareOrRun returns a PreparedWorkload for b and w: b's own Prepare
-// when it implements Preparer, otherwise a fallback handle whose Execute
-// calls b.Run (paying input construction on every call).
-func PrepareOrRun(b Benchmark, w Workload) (PreparedWorkload, error) {
-	if p, ok := b.(Preparer); ok {
-		return p.Prepare(w)
+// Run prepares w and executes it once on p: the cold path for callers
+// that run a workload a single time (tests, generator verification, the
+// examples). The harness calls Prepare itself and reuses the handle.
+func Run(b Benchmark, w Workload, p *perf.Profiler) (Result, error) {
+	pw, err := b.Prepare(w)
+	if err != nil {
+		return Result{}, err
 	}
-	return runFallback{b: b, w: w}, nil
+	return pw.Execute(p)
 }
 
-// runFallback adapts a non-Preparer benchmark to the PreparedWorkload
-// interface without splitting its Run.
-type runFallback struct {
-	b Benchmark
-	w Workload
+// PrepareOrRun is b.Prepare(w). It predates Prepare joining the Benchmark
+// interface and is kept only because bench/probe.go calls it; new code
+// calls b.Prepare directly.
+func PrepareOrRun(b Benchmark, w Workload) (PreparedWorkload, error) {
+	return b.Prepare(w)
 }
 
-// Execute implements PreparedWorkload by running the benchmark cold.
-func (f runFallback) Execute(p *perf.Profiler) (Result, error) { return f.b.Run(f.w, p) }
-
-// ErrUnknownWorkload is returned by Run when handed a workload the
+// ErrUnknownWorkload is returned by Prepare when handed a workload the
 // benchmark does not recognize.
 var ErrUnknownWorkload = errors.New("core: unknown workload type for benchmark")
 

@@ -18,9 +18,36 @@ func (f *fakeBench) Area() string { return "testing" }
 func (f *fakeBench) Workloads() ([]Workload, error) {
 	return f.ws, nil
 }
-func (f *fakeBench) Run(w Workload, p *perf.Profiler) (Result, error) {
+func (f *fakeBench) Prepare(w Workload) (PreparedWorkload, error) {
+	return fakePrepared{f: f, w: w}, nil
+}
+
+type fakePrepared struct {
+	f *fakeBench
+	w Workload
+}
+
+func (pw fakePrepared) Execute(p *perf.Profiler) (Result, error) {
 	p.Do("fake", func() { p.Ops(10) })
-	return Result{Benchmark: f.name, Workload: w.WorkloadName(), Kind: w.WorkloadKind()}, nil
+	return Result{Benchmark: pw.f.name, Workload: pw.w.WorkloadName(), Kind: pw.w.WorkloadKind()}, nil
+}
+
+// countingGen is a generator fake that counts inventory builds and
+// records every GenerateWorkload call.
+type countingGen struct {
+	*fakeBench
+	inventories int
+	calls       [][2]int64
+}
+
+func (g *countingGen) Workloads() ([]Workload, error) {
+	g.inventories++
+	return g.fakeBench.Workloads()
+}
+
+func (g *countingGen) GenerateWorkload(seed int64, index int) (Workload, error) {
+	g.calls = append(g.calls, [2]int64{seed, int64(index)})
+	return Meta{Name: GeneratedName(seed, index), Kind: KindAlberta}, nil
 }
 
 func newFake(name string) *fakeBench {
@@ -158,7 +185,7 @@ func TestGeneratedNameRoundTrip(t *testing.T) {
 		seed  int64
 		index int
 	}{
-		{0, 0}, {42, 7}, {-3, 1}, {1 << 40, 999},
+		{0, 0}, {42, 7}, {MaxGeneratedSeed, MaxGeneratedIndex},
 	}
 	for _, c := range cases {
 		name := GeneratedName(c.seed, c.index)
@@ -172,20 +199,24 @@ func TestGeneratedNameRoundTrip(t *testing.T) {
 
 func TestParseGeneratedNameRejects(t *testing.T) {
 	bad := []string{
-		"",            // empty
-		"refrate",     // inventory name
-		"alberta.1",   // inventory name
-		"gen.0",       // pre-contract form, no seed
-		"gen.s",       // no digits
-		"gen.s5",      // no index
-		"gen.s5.",     // empty index
-		"gen.s.3",     // empty seed
-		"gen.s01.2",   // alias: leading zero would not re-render
-		"gen.s5.03",   // alias in index
-		"gen.s5.-1",   // negative index
-		"gen.s5.3.1",  // seed "5.3" has a dot but fails ParseInt
-		"gen.s5.3 ",   // trailing junk
-		"Gen.s5.3",    // case matters
+		"",                           // empty
+		"refrate",                    // inventory name
+		"alberta.1",                  // inventory name
+		"gen.0",                      // pre-contract form, no seed
+		"gen.s",                      // no digits
+		"gen.s5",                     // no index
+		"gen.s5.",                    // empty index
+		"gen.s.3",                    // empty seed
+		"gen.s01.2",                  // alias: leading zero would not re-render
+		"gen.s5.03",                  // alias in index
+		"gen.s5.-1",                  // negative index
+		"gen.s5.3.1",                 // seed "5.3" has a dot but fails ParseInt
+		"gen.s5.3 ",                  // trailing junk
+		"Gen.s5.3",                   // case matters
+		"gen.s-7.1",                  // negative seed: outside the generated domain
+		"gen.s4294967296.0",          // seed = MaxGeneratedSeed + 1
+		"gen.s5.2147483648",          // index = MaxGeneratedIndex + 1
+		"gen.s9223372036854775805.5", // seed far outside the domain
 	}
 	for _, name := range bad {
 		if _, _, ok := ParseGeneratedName(name); ok {
@@ -205,5 +236,57 @@ func TestResolveWorkloadInventoryAndErrors(t *testing.T) {
 	}
 	if _, err := ResolveWorkload(b, "nope"); err == nil {
 		t.Error("unknown name resolved")
+	}
+}
+
+// TestResolveWorkloadIsOneGeneration pins O(1) resolution: a generated
+// name, however large its index, is resolved by exactly one
+// GenerateWorkload call with the recorded seed and index, and the
+// inventory is never built.
+func TestResolveWorkloadIsOneGeneration(t *testing.T) {
+	g := &countingGen{fakeBench: newFake("600.fake_s")}
+	w, err := ResolveWorkload(g, "gen.s5.1000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.WorkloadName() != "gen.s5.1000000" {
+		t.Errorf("resolved %q", w.WorkloadName())
+	}
+	if g.inventories != 0 {
+		t.Errorf("Workloads() called %d times, want 0", g.inventories)
+	}
+	if len(g.calls) != 1 || g.calls[0] != [2]int64{5, 1000000} {
+		t.Errorf("GenerateWorkload calls = %v, want [[5 1000000]]", g.calls)
+	}
+	// Out-of-domain names are rejected before any generator runs.
+	if _, err := ResolveWorkload(g, "gen.s-7.1"); !errors.Is(err, ErrNoWorkload) {
+		t.Errorf("gen.s-7.1: err = %v, want ErrNoWorkload", err)
+	}
+	if len(g.calls) != 1 {
+		t.Errorf("out-of-domain name reached the generator: %v", g.calls)
+	}
+}
+
+func TestGenerateWorkloadsDomain(t *testing.T) {
+	g := &countingGen{fakeBench: newFake("600.fake_s")}
+	ws, err := GenerateWorkloads(g, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		if w.WorkloadName() != GeneratedName(3, i) {
+			t.Errorf("workload %d named %q", i, w.WorkloadName())
+		}
+	}
+	for _, c := range []struct {
+		seed int64
+		n    int
+	}{{3, 0}, {3, -1}, {-7, 1}, {MaxGeneratedSeed + 1, 1}} {
+		if _, err := GenerateWorkloads(g, c.seed, c.n); err == nil {
+			t.Errorf("GenerateWorkloads(seed %d, n %d) accepted", c.seed, c.n)
+		}
+	}
+	if len(g.calls) != 4 {
+		t.Errorf("rejected requests reached the generator: %d calls, want 4", len(g.calls))
 	}
 }

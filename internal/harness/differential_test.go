@@ -68,11 +68,7 @@ func TestSuiteDifferentialReference(t *testing.T) {
 // returning the full Report with WallTime zeroed and the checksum.
 func profileOnce(t *testing.T, b core.Benchmark, w core.Workload, p *perf.Profiler) (perf.Report, uint64) {
 	t.Helper()
-	pw, err := core.PrepareOrRun(b, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pw.Execute(p)
+	res, err := core.Run(b, w, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +80,8 @@ func profileOnce(t *testing.T, b core.Benchmark, w core.Workload, p *perf.Profil
 // TestPreparedMatchesColdRuns is the prepared-workload acceptance sweep: a
 // cell run through the harness — input prepared once, shared by several
 // repetitions, profiler recycled with Reset between them — must produce a
-// Measurement bit-identical (except WallSeconds) to a cold core.Benchmark.Run
-// on a fresh profiler. Together with runWorkload's own cross-repetition
+// Measurement bit-identical (except WallSeconds) to a cold core.Run on a
+// fresh profiler. Together with runWorkload's own cross-repetition
 // determinism check this proves both prepared-vs-unprepared and
 // recycled-vs-fresh equivalence for every benchmark.
 //
@@ -108,9 +104,6 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := b.(core.Preparer); !ok {
-			t.Errorf("%s does not implement core.Preparer", b.Name())
-		}
 		for _, w := range ws {
 			if !full {
 				if k := w.WorkloadKind(); k != core.KindTest && k != core.KindTrain {
@@ -121,7 +114,7 @@ func TestPreparedMatchesColdRuns(t *testing.T) {
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
 				p := perf.New()
-				res, err := b.Run(w, p)
+				res, err := core.Run(b, w, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -189,7 +182,7 @@ func TestCompiledEnginesRecycleFullReports(t *testing.T) {
 			}
 			b, w := b, w
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				pw, err := core.PrepareOrRun(b, w)
+				pw, err := b.Prepare(w)
 				if err != nil {
 					t.Fatal(err)
 				}

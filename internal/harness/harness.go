@@ -134,13 +134,13 @@ func (o Options) ReportConfig() report.RunConfig {
 
 // RunWorkload executes one benchmark/workload pair opts.Reps times.
 //
-// When the benchmark implements core.Preparer, the workload's input is
-// prepared exactly once — uninstrumented, before the first repetition —
-// and the prepared handle is reused by every repetition, which resets its
-// mutable scratch in place (core.PreparedWorkload's contract). Repetitions
-// 1..N-1 therefore do zero input rework, and WallSeconds times only the
-// measured execute phase. Every Measurement field except WallSeconds is
-// bit-identical to running the benchmark cold each repetition.
+// The workload's input is prepared exactly once (core.Benchmark.Prepare)
+// — uninstrumented, before the first repetition — and the prepared handle is
+// reused by every repetition, which resets its mutable scratch in place
+// (core.PreparedWorkload's contract). Repetitions 1..N-1 therefore do zero
+// input rework, and WallSeconds times only the measured execute phase.
+// Every Measurement field except WallSeconds is bit-identical to a cold
+// core.Run each repetition.
 //
 // The context is checked between repetitions; a benchmark's execute phase
 // itself is not interruptible.
@@ -170,7 +170,7 @@ func runWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 			m, err = report.Measurement{}, fmt.Errorf("harness: %s/%s: %w: %v\n%s", b.Name(), w.WorkloadName(), errPanic, r, debug.Stack())
 		}
 	}()
-	pw, err := core.PrepareOrRun(b, w)
+	pw, err := b.Prepare(w)
 	if err != nil {
 		return report.Measurement{}, fmt.Errorf("harness: %s/%s: prepare: %w", b.Name(), w.WorkloadName(), err)
 	}

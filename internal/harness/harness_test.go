@@ -12,6 +12,13 @@ import (
 	"repro/internal/stats"
 )
 
+// execFunc adapts a fake benchmark's one-shot run to
+// core.PreparedWorkload: the fakes construct no input, so their Prepare
+// only binds the workload.
+type execFunc func(p *perf.Profiler) (core.Result, error)
+
+func (f execFunc) Execute(p *perf.Profiler) (core.Result, error) { return f(p) }
+
 // quickBench is a tiny deterministic benchmark for harness tests.
 type quickBench struct{ name string }
 
@@ -27,7 +34,11 @@ func (q *quickBench) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-func (q *quickBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (q *quickBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return q.run(w, p) }), nil
+}
+
+func (q *quickBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	// Workload-dependent behaviour so Table II has variation.
 	n := uint64(len(w.WorkloadName())) * 500
 	p.Do("alpha", func() {

@@ -183,7 +183,7 @@ func (r *Runner) plan(opts Options) ([]Unit, error) {
 // Stream executes the plan, handing each completed cell's Measurement to
 // sink and releasing it — the streaming path behind Run and the sweep
 // drivers. Cancellation of ctx stops the run promptly (between
-// measurements; a benchmark's Run is not interruptible) and returns
+// measurements; a benchmark's Execute is not interruptible) and returns
 // ctx.Err(). A sink error cancels the run and is returned. With FailFast
 // set, the first measurement error cancels the rest and is returned
 // alone; otherwise all failures are collected into a *RunError, returned

@@ -39,7 +39,11 @@ func (s *slowBench) Workloads() ([]core.Workload, error) {
 
 var errBoom = errors.New("boom")
 
-func (s *slowBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (s *slowBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return s.run(w, p) }), nil
+}
+
+func (s *slowBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	if s.delay > 0 {
 		time.Sleep(s.delay)
 	}
@@ -298,7 +302,11 @@ func (z *zeroChecksumBench) Area() string { return "testing" }
 func (z *zeroChecksumBench) Workloads() ([]core.Workload, error) {
 	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
 }
-func (z *zeroChecksumBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (z *zeroChecksumBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return z.run(w, p) }), nil
+}
+
+func (z *zeroChecksumBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	var sum uint64
 	if z.runs.Add(1) > 1 {
 		sum = 1

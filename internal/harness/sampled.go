@@ -137,7 +137,7 @@ func SampledDiff(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 		return nil, err
 	}
 	name := fmt.Sprintf("%s/%s", b.Name(), w.WorkloadName())
-	pw, err := core.PrepareOrRun(b, w)
+	pw, err := b.Prepare(w)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: prepare: %w", name, err)
 	}

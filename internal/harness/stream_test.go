@@ -156,7 +156,11 @@ func (c *coverBench) Workloads() ([]core.Workload, error) {
 	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
 }
 
-func (c *coverBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (c *coverBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return c.run(w, p) }), nil
+}
+
+func (c *coverBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	for i := 0; i < c.methods; i++ {
 		p.Do(fmt.Sprintf("method.%s.%04d", w.WorkloadName(), i), func() { p.Ops(3) })
 	}

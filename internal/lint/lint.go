@@ -8,7 +8,7 @@
 // checksum, no goroutines inside benchmark kernels, pure-compute imports
 // in benchmark packages, no silently discarded checksum folds, and
 // uninstrumented benchmark Prepare methods (the prepared-workload
-// contract of core.Preparer).
+// contract of core.Benchmark.Prepare).
 //
 // The concurrency family guards the invariants the multi-node service
 // depends on: mutex-guarded struct fields accessed without their guard

@@ -8,12 +8,12 @@ import (
 // perfPkgPath is the modeled profiler's import path.
 const perfPkgPath = "repro/internal/perf"
 
-// NoProfilerInPrepare enforces the core.Preparer contract inside benchmark
-// packages: Prepare is the uninstrumented phase, so a Prepare method must not
-// take a *perf.Profiler, touch a profiler-typed value, or reach into the perf
-// package at all. Passing a literal nil profiler to shared constructors
-// (e.g. NewSim(g, params, nil)) is the sanctioned way to reuse instrumented
-// code paths during preparation and is not flagged.
+// NoProfilerInPrepare enforces core.Benchmark's Prepare contract inside
+// benchmark packages: Prepare is the uninstrumented phase, so a Prepare
+// method must not take a *perf.Profiler, touch a profiler-typed value, or
+// reach into the perf package at all. Passing a literal nil profiler to
+// shared constructors (e.g. NewSim(g, params, nil)) is the sanctioned way
+// to reuse instrumented code paths during preparation and is not flagged.
 type NoProfilerInPrepare struct{}
 
 func (NoProfilerInPrepare) ID() string { return "no-profiler-in-prepare" }

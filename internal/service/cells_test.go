@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchmarks/xalan"
 	"repro/internal/core"
 	"repro/internal/harness/report"
 )
@@ -451,7 +452,7 @@ func jobID(t *testing.T, st map[string]any) string {
 
 // TestCellExecuteEndpoint exercises the worker wire protocol directly.
 func TestCellExecuteEndpoint(t *testing.T) {
-	s := newTestServer(t)
+	s := newTestServer(t, &countBench{name: "990.count_r"}, xalan.New())
 
 	rec, doc := doJSON(t, s.Handler(), "POST", "/v1/cells:execute",
 		`{"benchmark": "990.count_r", "workload": "train", "config": {"reps": 1}}`)
@@ -476,8 +477,11 @@ func TestCellExecuteEndpoint(t *testing.T) {
 	for name, body := range map[string]string{
 		"unknown benchmark": `{"benchmark": "999.ghost_r", "workload": "train", "config": {}}`,
 		"unknown workload":  `{"benchmark": "990.count_r", "workload": "ghost", "config": {}}`,
-		"negative reps":     `{"benchmark": "990.count_r", "workload": "train", "config": {"reps": -1}}`,
-		"bad json":          `{`,
+		// Outside the generated domain: xalancbmk's generator would
+		// panic on a negative seed, so the name must never reach it.
+		"out-of-domain seed": `{"benchmark": "523.xalancbmk_r", "workload": "gen.s-7.1", "config": {}}`,
+		"negative reps":      `{"benchmark": "990.count_r", "workload": "train", "config": {"reps": -1}}`,
+		"bad json":           `{`,
 	} {
 		if rec, _ := doJSON(t, s.Handler(), "POST", "/v1/cells:execute", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, rec.Code)

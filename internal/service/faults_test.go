@@ -15,7 +15,7 @@ import (
 )
 
 // faultBench is a benchmark for failure tests: n Alberta workloads plus a
-// train, an optional gate every Run blocks on until closed, and an
+// train, an optional gate every execution blocks on until closed, and an
 // optional set of workloads whose kernel panics midway through a
 // profiled method.
 type faultBench struct {
@@ -36,7 +36,11 @@ func (b *faultBench) Workloads() ([]core.Workload, error) {
 	return ws, nil
 }
 
-func (b *faultBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (b *faultBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return b.run(w, p) }), nil
+}
+
+func (b *faultBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	b.runs.Add(1)
 	if b.gate != nil {
 		<-b.gate

@@ -15,7 +15,7 @@ import (
 	"repro/internal/perf"
 )
 
-// budgetBench is genBench whose budget-th Run calls stop, so a fuzzed
+// budgetBench is genBench whose budget-th execution calls stop, so a fuzzed
 // request ends however many cells and repetitions it asks for.
 type budgetBench struct {
 	*genBench
@@ -24,11 +24,13 @@ type budgetBench struct {
 	stop   func()
 }
 
-func (b *budgetBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
-	if b.runs.Add(1) == b.budget {
-		b.stop()
-	}
-	return b.genBench.Run(w, p)
+func (b *budgetBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) {
+		if b.runs.Add(1) == b.budget {
+			b.stop()
+		}
+		return b.genBench.run(w, p)
+	}), nil
 }
 
 // newFuzzServer serves a one-benchmark suite whose kernel calls stop

@@ -26,7 +26,14 @@ func TestMain(m *testing.M) {
 	leakcheck.Main(m)
 }
 
-// countBench is a tiny deterministic benchmark that counts Run calls, so
+// execFunc adapts a fake benchmark's one-shot run to
+// core.PreparedWorkload: the fakes construct no input, so their Prepare
+// only binds the workload.
+type execFunc func(p *perf.Profiler) (core.Result, error)
+
+func (f execFunc) Execute(p *perf.Profiler) (core.Result, error) { return f(p) }
+
+// countBench is a tiny deterministic benchmark that counts executions, so
 // tests can assert a cache hit executed zero measurements. With a gate it
 // blocks until released, letting tests hold a job in the running state.
 type countBench struct {
@@ -46,7 +53,11 @@ func (b *countBench) Workloads() ([]core.Workload, error) {
 	}, nil
 }
 
-func (b *countBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (b *countBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return b.run(w, p) }), nil
+}
+
+func (b *countBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	if b.gate != nil {
 		<-b.gate
 	}

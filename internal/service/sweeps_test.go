@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/benchmarks/xalan"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/harness/report"
@@ -19,7 +20,7 @@ import (
 )
 
 // genBench is a generator-capable test benchmark whose behaviour varies
-// by generated index, so clustering has real structure to find. Run
+// by generated index, so clustering has real structure to find. It
 // counts executions, letting tests assert cache reuse.
 type genBench struct {
 	name string
@@ -32,15 +33,15 @@ func (b *genBench) Workloads() ([]core.Workload, error) {
 	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
 }
 
-func (b *genBench) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	ws := make([]core.Workload, n)
-	for i := range ws {
-		ws[i] = core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta}
-	}
-	return ws, nil
+func (b *genBench) GenerateWorkload(seed int64, index int) (core.Workload, error) {
+	return core.Meta{Name: core.GeneratedName(seed, index), Kind: core.KindAlberta}, nil
 }
 
-func (b *genBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (b *genBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return b.run(w, p) }), nil
+}
+
+func (b *genBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	b.runs.Add(1)
 	_, idx, ok := core.ParseGeneratedName(w.WorkloadName())
 	if !ok {
@@ -254,7 +255,7 @@ func TestSweepSSE(t *testing.T) {
 }
 
 func TestSweepRejectsBadRequests(t *testing.T) {
-	s := newTestServer(t, &genBench{name: "991.gen_r"}, &countBench{name: "990.count_r"})
+	s := newTestServer(t, &genBench{name: "991.gen_r"}, &countBench{name: "990.count_r"}, xalan.New())
 	for _, tc := range []struct {
 		name, body string
 	}{
@@ -264,6 +265,7 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		{"negative window", `{"window":-1}`},
 		{"bad per_benchmark", `{"per_benchmark":-2}`},
 		{"unknown field", `{"bogus":true}`},
+		{"out-of-domain seed", `{"benchmarks":["523.xalancbmk_r"],"per_benchmark":2,"seed":-7}`},
 	} {
 		rec := postSweep(t, s, tc.body, false)
 		if rec.Code != http.StatusBadRequest {

@@ -123,12 +123,9 @@ func Plan(suite *core.Suite, cfg Config) ([]harness.Unit, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s cannot generate workloads", ErrSweep, name)
 		}
-		ws, err := gen.GenerateWorkloads(cfg.Seed, cfg.PerBenchmark)
+		ws, err := core.GenerateWorkloads(gen, cfg.Seed, cfg.PerBenchmark)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s: generating %d workloads: %w", name, cfg.PerBenchmark, err)
-		}
-		if len(ws) != cfg.PerBenchmark {
-			return nil, fmt.Errorf("sweep: %s: generator returned %d workloads, want %d", name, len(ws), cfg.PerBenchmark)
 		}
 		for _, w := range ws {
 			units = append(units, harness.Unit{Benchmark: b, Workload: w})

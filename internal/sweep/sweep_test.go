@@ -14,6 +14,13 @@ import (
 	"repro/internal/perf"
 )
 
+// execFunc adapts a fake benchmark's one-shot run to
+// core.PreparedWorkload: the fakes construct no input, so their Prepare
+// only binds the workload.
+type execFunc func(p *perf.Profiler) (core.Result, error)
+
+func (f execFunc) Execute(p *perf.Profiler) (core.Result, error) { return f(p) }
+
 // genBench is a generator-capable benchmark whose behaviour varies by
 // generated index, giving the clustering real structure.
 type genBench struct {
@@ -26,15 +33,15 @@ func (b *genBench) Workloads() ([]core.Workload, error) {
 	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
 }
 
-func (b *genBench) GenerateWorkloads(seed int64, n int) ([]core.Workload, error) {
-	ws := make([]core.Workload, n)
-	for i := range ws {
-		ws[i] = core.Meta{Name: core.GeneratedName(seed, i), Kind: core.KindAlberta}
-	}
-	return ws, nil
+func (b *genBench) GenerateWorkload(seed int64, index int) (core.Workload, error) {
+	return core.Meta{Name: core.GeneratedName(seed, index), Kind: core.KindAlberta}, nil
 }
 
-func (b *genBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (b *genBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return b.run(w, p) }), nil
+}
+
+func (b *genBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	_, idx, ok := core.ParseGeneratedName(w.WorkloadName())
 	if !ok {
 		idx = 0
@@ -64,7 +71,11 @@ func (b *plainBench) Workloads() ([]core.Workload, error) {
 	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
 }
 
-func (b *plainBench) Run(w core.Workload, p *perf.Profiler) (core.Result, error) {
+func (b *plainBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) { return b.run(w, p) }), nil
+}
+
+func (b *plainBench) run(w core.Workload, p *perf.Profiler) (core.Result, error) {
 	p.Do("only", func() { p.Ops(10) })
 	return core.Result{Benchmark: b.name, Workload: w.WorkloadName(),
 		Kind: w.WorkloadKind(), Checksum: 1}, nil
