@@ -35,7 +35,8 @@ race:
 # Ten seconds of coverage-guided fuzzing for each Fuzz target (go test
 # fuzzes one target per invocation): the two perlbench differential
 # fuzzers, xalan's match-pattern fuzzer, the service request fuzzers, and
-# the provenance-name resolver over the real suite.
+# the provenance-name resolver over the real suite. FuzzBoardChains checks
+# leela's incremental chain state against a flood-fill oracle.
 # Plain `go test` runs only their seed corpora.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzExprDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
@@ -44,6 +45,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveWorkload$$' -fuzztime 10s ./internal/benchmarks/
+	$(GO) test -run '^$$' -fuzz '^FuzzBoardChains$$' -fuzztime 10s ./internal/benchmarks/leela/
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # plus the full-suite wall clock. Slow — it characterizes the whole suite

@@ -50,7 +50,10 @@ func (c Color) String() string {
 // PassMove is the move value representing a pass.
 const PassMove = -1
 
-// Board is a Go position with simple-ko tracking.
+// Board is a Go position with simple-ko tracking and incrementally kept
+// chain state: every occupied point knows its chain's head, and the head
+// holds the chain's exact liberty and stone counts, so legality and capture
+// tests never flood-fill.
 type Board struct {
 	Size   int
 	points []Color
@@ -58,38 +61,46 @@ type Board struct {
 	koPoint int
 	// Captures by each player (index by Color).
 	captures [3]int
-	// scratch buffers for group search.
+	// Chain state, meaningful at occupied points only: head[p] is the
+	// chain's representative point, next[p] links the chain's stones into a
+	// ring, and at a head libs and stones hold the chain's distinct
+	// liberties and its size. Play keeps all four exact.
+	head   []int16
+	next   []int16
+	libs   []int16
+	stones []int16
+	// scratch buffers for flood fills (Score, liberty recounts).
 	visited []int32
 	stamp   int32
 	queue   []int
 	// Precomputed neighbor table: nbr[p*4 : p*4+nbrN[p]] are p's orthogonal
-	// neighbors, in the fixed up/down/left/right order the flood fills and
-	// capture scans depend on. Immutable after NewBoard; shared by clones.
+	// neighbors (up, down, left, right). Immutable after NewBoard; shared by
+	// clones.
 	nbr  []int16
 	nbrN []uint8
-	// Legal-scan cache, valid only between scanGroups and the next board
-	// mutation: gid maps each occupied point to a group index, libs holds
-	// each group's liberty count. legalMoves computes it once per scan so
-	// per-point legality tests need no flood fills.
-	gid  []int32
-	libs []int32
 }
 
 // NewBoard returns an empty board of the given size (9, 13 or 19 in the
-// workloads; any size ≥ 3 is accepted).
+// workloads; any size ≥ 3 is accepted). The 25 cap keeps every point and
+// liberty count within int16.
 func NewBoard(size int) (*Board, error) {
 	if size < 3 || size > 25 {
 		return nil, fmt.Errorf("leela: unsupported board size %d", size)
 	}
+	n := size * size
 	b := &Board{
 		Size:    size,
-		points:  make([]Color, size*size),
+		points:  make([]Color, n),
 		koPoint: -1,
-		visited: make([]int32, size*size),
-		nbr:     make([]int16, size*size*4),
-		nbrN:    make([]uint8, size*size),
+		head:    make([]int16, n),
+		next:    make([]int16, n),
+		libs:    make([]int16, n),
+		stones:  make([]int16, n),
+		visited: make([]int32, n),
+		nbr:     make([]int16, n*4),
+		nbrN:    make([]uint8, n),
 	}
-	for p := 0; p < size*size; p++ {
+	for p := 0; p < n; p++ {
 		r, c := p/size, p%size
 		k := p * 4
 		if r > 0 {
@@ -109,9 +120,9 @@ func NewBoard(size int) (*Board, error) {
 			k++
 		}
 		b.nbrN[p] = uint8(k - p*4)
-		// Pad edge/corner slots with the point itself so flood fills can
-		// iterate a fixed 4 entries: a self entry is already stamped (every
-		// queued point is) and never Vacant there, so it is a no-op.
+		// Pad edge/corner slots with the point itself so the liberty
+		// recount can iterate a fixed 4 entries: a self entry is occupied
+		// by the chain being counted, so it is never counted as a liberty.
 		for ; k < p*4+4; k++ {
 			b.nbr[k] = int16(p)
 		}
@@ -125,15 +136,6 @@ func (b *Board) At(p int) Color { return b.points[p] }
 // Captures reports stones captured by c.
 func (b *Board) Captures(c Color) int { return b.captures[c] }
 
-// neighbors appends p's orthogonal neighbors to buf.
-func (b *Board) neighbors(p int, buf []int) []int {
-	k := p * 4
-	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
-		buf = append(buf, int(nb))
-	}
-	return buf
-}
-
 // nextStamp advances the visited-marking stamp, clearing the visited array
 // on (unlikely) wraparound so long-lived boards stay correct.
 func (b *Board) nextStamp() {
@@ -146,59 +148,12 @@ func (b *Board) nextStamp() {
 	b.stamp++
 }
 
-// scanGroups flood-fills every group on the board once, filling the gid and
-// libs caches. The cache is invalidated by any mutation (Play, removeGroup);
-// legalMoves recomputes it at the start of each scan.
-func (b *Board) scanGroups() {
-	if b.gid == nil {
-		b.gid = make([]int32, len(b.points))
-	}
-	for i := range b.gid {
-		b.gid[i] = -1
-	}
-	b.libs = b.libs[:0]
-	for p := range b.points {
-		if b.points[p] == Vacant || b.gid[p] >= 0 {
-			continue
-		}
-		col := b.points[p]
-		id := int32(len(b.libs))
-		// One stamp per group: visited dedupes this group's liberties.
-		b.nextStamp()
-		b.queue = b.queue[:0]
-		b.queue = append(b.queue, p)
-		b.gid[p] = id
-		nlibs := int32(0)
-		for i := 0; i < len(b.queue); i++ {
-			q := b.queue[i]
-			k := q * 4
-			// Self pads are col-colored with gid already set: no-ops.
-			for _, nb := range b.nbr[k : k+4 : k+4] {
-				switch b.points[nb] {
-				case Vacant:
-					if b.visited[nb] != b.stamp {
-						b.visited[nb] = b.stamp
-						nlibs++
-					}
-				case col:
-					if b.gid[nb] < 0 {
-						b.gid[nb] = id
-						b.queue = append(b.queue, int(nb))
-					}
-				}
-			}
-		}
-		b.libs = append(b.libs, nlibs)
-	}
-}
-
-// legalScanned is Legal for a vacant point under a fresh scanGroups cache.
-// It decides without flood fills, by the same rules Legal applies with them:
+// legalScanned is Legal for a vacant point, decided from the chain state:
 // a vacant neighbor is a liberty of the new stone; an opponent neighbor
-// group with exactly one liberty must have p as that liberty (p is vacant
-// and adjacent), so the move captures; a friendly neighbor group with a
-// second liberty beyond p keeps the merged group alive. Otherwise the move
-// is suicide. The returned boolean is bit-identical to Legal(p, c).
+// chain with exactly one liberty must have p as that liberty (p is vacant
+// and adjacent), so the move captures; a friendly neighbor chain with a
+// second liberty beyond p keeps the merged chain alive. Otherwise the move
+// is suicide.
 func (b *Board) legalScanned(p int, c Color) bool {
 	if p == b.koPoint {
 		return false
@@ -210,55 +165,16 @@ func (b *Board) legalScanned(p int, c Color) bool {
 		case Vacant:
 			return true
 		case opp:
-			if b.libs[b.gid[nb]] == 1 {
+			if b.libs[b.head[nb]] == 1 {
 				return true
 			}
 		default: // own color
-			if b.libs[b.gid[nb]] >= 2 {
+			if b.libs[b.head[nb]] >= 2 {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// groupHasLiberty reports whether the group containing p (of color col) has
-// at least one liberty. When it returns false the group's points are
-// recorded in b.queue (which removeGroup and the ko check consume); on true
-// it returns at the first liberty, so b.queue holds only a partial group —
-// no caller reads it in that case.
-func (b *Board) groupHasLiberty(p int, col Color) bool {
-	b.nextStamp()
-	b.queue = b.queue[:0]
-	b.queue = append(b.queue, p)
-	b.visited[p] = b.stamp
-	for i := 0; i < len(b.queue); i++ {
-		q := b.queue[i]
-		k := q * 4
-		// Fixed 4-wide iteration over the padded table (see NewBoard): every
-		// queued point is col-colored and stamped, so self pads fall through.
-		for _, nb := range b.nbr[k : k+4 : k+4] {
-			switch b.points[nb] {
-			case Vacant:
-				return true
-			case col:
-				if b.visited[nb] != b.stamp {
-					b.visited[nb] = b.stamp
-					b.queue = append(b.queue, int(nb))
-				}
-			}
-		}
-	}
-	return false
-}
-
-// removeGroup removes the group recorded in b.queue, crediting captures.
-func (b *Board) removeGroup(captor Color) int {
-	for _, q := range b.queue {
-		b.points[q] = Vacant
-	}
-	b.captures[captor] += len(b.queue)
-	return len(b.queue)
 }
 
 // ErrIllegalMove reports an illegal play.
@@ -269,31 +185,10 @@ func (b *Board) Legal(p int, c Color) bool {
 	if p == PassMove {
 		return true
 	}
-	if p < 0 || p >= len(b.points) || b.points[p] != Vacant || p == b.koPoint {
+	if p < 0 || p >= len(b.points) || b.points[p] != Vacant {
 		return false
 	}
-	k := p * 4
-	nbrs := b.nbr[k : k+int(b.nbrN[p])]
-	// A vacant neighbor is a liberty of the placed stone's group, so the move
-	// can be neither suicide nor ko-barred (p != koPoint already held): legal.
-	for _, nb := range nbrs {
-		if b.points[nb] == Vacant {
-			return true
-		}
-	}
-	// Tentatively place and test for suicide.
-	b.points[p] = c
-	opp := c.Opponent()
-	capturesSomething := false
-	for _, nb := range nbrs {
-		if b.points[nb] == opp && !b.groupHasLiberty(int(nb), opp) {
-			capturesSomething = true
-			break
-		}
-	}
-	ok := capturesSomething || b.groupHasLiberty(p, c)
-	b.points[p] = Vacant
-	return ok
+	return b.legalScanned(p, c)
 }
 
 // Play places a stone for c at p (or passes). It returns the number of
@@ -306,22 +201,50 @@ func (b *Board) Play(p int, c Color) (int, error) {
 	if !b.Legal(p, c) {
 		return 0, fmt.Errorf("%w: %s at %d", ErrIllegalMove, c, p)
 	}
-	b.points[p] = c
 	opp := c.Opponent()
-	var nbuf [4]int
-	captured := 0
-	koCandidate := -1
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
-		if b.points[nb] == opp && !b.groupHasLiberty(nb, opp) {
-			if len(b.queue) == 1 {
-				koCandidate = b.queue[0]
+	b.points[p] = c
+	b.head[p], b.next[p], b.stones[p] = int16(p), int16(p), 1
+	// Collect the distinct neighbor chains; p takes one liberty from each
+	// opponent chain, and the largest friendly chain absorbs the rest.
+	k := p * 4
+	var oppHeads [4]int16
+	nOpp := 0
+	big := int16(p)
+	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
+		h := b.head[nb]
+		switch b.points[nb] {
+		case opp:
+			if !containsHead(oppHeads[:nOpp], h) {
+				oppHeads[nOpp] = h
+				nOpp++
+				b.libs[h]--
 			}
-			captured += b.removeGroup(c)
+		case c:
+			if h != big {
+				if b.stones[h] > b.stones[big] {
+					big, h = h, big
+				}
+				b.mergeInto(big, h)
+			}
 		}
 	}
+	b.libs[big] = b.countLiberties(big)
+	// Capture every opponent chain p left without liberties.
+	captured := 0
+	koCandidate := -1
+	for _, h := range oppHeads[:nOpp] {
+		if b.libs[h] != 0 {
+			continue
+		}
+		if b.stones[h] == 1 {
+			koCandidate = int(h)
+		}
+		captured += b.removeChain(h)
+	}
+	b.captures[c] += captured
 	// Simple ko: exactly one stone captured by a single new stone whose
-	// group has exactly that one liberty.
-	if captured == 1 && koCandidate >= 0 && b.isSingleStoneWithOneLiberty(p, c) {
+	// chain has exactly that one liberty.
+	if captured == 1 && b.stones[big] == 1 && b.libs[big] == 1 {
 		b.koPoint = koCandidate
 	} else {
 		b.koPoint = -1
@@ -329,43 +252,111 @@ func (b *Board) Play(p int, c Color) (int, error) {
 	return captured, nil
 }
 
-// isSingleStoneWithOneLiberty checks the ko precondition for the stone just
-// placed at p.
-func (b *Board) isSingleStoneWithOneLiberty(p int, c Color) bool {
-	var nbuf [4]int
-	libs := 0
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
-		switch b.points[nb] {
-		case Vacant:
-			libs++
-		case c:
-			return false
+// containsHead reports whether h is among heads.
+func containsHead(heads []int16, h int16) bool {
+	for _, x := range heads {
+		if x == h {
+			return true
 		}
 	}
-	return libs == 1
+	return false
+}
+
+// mergeInto relabels the chain headed by small to head big and splices the
+// two stone rings.
+func (b *Board) mergeInto(big, small int16) {
+	s := small
+	for {
+		b.head[s] = big
+		s = b.next[s]
+		if s == small {
+			break
+		}
+	}
+	b.next[big], b.next[small] = b.next[small], b.next[big]
+	b.stones[big] += b.stones[small]
+}
+
+// countLiberties counts the distinct vacant points next to the chain headed
+// by h with one stamp walk of its ring.
+func (b *Board) countLiberties(h int16) int16 {
+	b.nextStamp()
+	n := int16(0)
+	s := h
+	for {
+		k := int(s) * 4
+		for _, nb := range b.nbr[k : k+4 : k+4] {
+			if b.points[nb] == Vacant && b.visited[nb] != b.stamp {
+				b.visited[nb] = b.stamp
+				n++
+			}
+		}
+		s = b.next[s]
+		if s == h {
+			break
+		}
+	}
+	return n
+}
+
+// removeChain empties the chain headed by h and gives each distinct chain
+// next to each removed stone one liberty back. It returns the chain's size.
+func (b *Board) removeChain(h int16) int {
+	col := b.points[h]
+	s := h
+	for {
+		b.points[s] = Vacant
+		k := int(s) * 4
+		var seen [4]int16
+		nSeen := 0
+		for _, nb := range b.nbr[k : k+int(b.nbrN[s])] {
+			// Stones of col left on the board belong to this chain and are
+			// about to go; every other occupied neighbor gains s.
+			if pc := b.points[nb]; pc == Vacant || pc == col {
+				continue
+			}
+			if nh := b.head[nb]; !containsHead(seen[:nSeen], nh) {
+				seen[nSeen] = nh
+				nSeen++
+				b.libs[nh]++
+			}
+		}
+		s = b.next[s]
+		if s == h {
+			break
+		}
+	}
+	return int(b.stones[h])
 }
 
 // Clone deep-copies the board.
 func (b *Board) Clone() *Board {
-	nb := &Board{
+	return &Board{
 		Size:     b.Size,
 		points:   append([]Color(nil), b.points...),
 		koPoint:  b.koPoint,
 		captures: b.captures,
+		head:     append([]int16(nil), b.head...),
+		next:     append([]int16(nil), b.next...),
+		libs:     append([]int16(nil), b.libs...),
+		stones:   append([]int16(nil), b.stones...),
 		visited:  make([]int32, len(b.points)),
 		// The neighbor table is immutable — clones share it.
 		nbr:  b.nbr,
 		nbrN: b.nbrN,
 	}
-	return nb
 }
 
-// CopyFrom resets b to src's position without allocating. The boards must
-// share a size; scratch state (visited stamps, scan caches) is left as-is —
-// stamps only ever advance, so stale marks never alias fresh ones, and the
-// scan cache is recomputed per legalMoves call.
+// CopyFrom resets b to src's position, chain state included, without
+// allocating. The boards must share a size; the visited stamps are left
+// as-is, since stamps only ever advance and stale marks never alias fresh
+// ones.
 func (b *Board) CopyFrom(src *Board) {
 	copy(b.points, src.points)
+	copy(b.head, src.head)
+	copy(b.next, src.next)
+	copy(b.libs, src.libs)
+	copy(b.stones, src.stones)
 	b.koPoint = src.koPoint
 	b.captures = src.captures
 }
@@ -377,7 +368,6 @@ func (b *Board) Score() (black, white int) {
 	// One stamp marks every visited vacant point: regions are disjoint, so
 	// a single stamp suffices and no per-call allocation is needed.
 	b.nextStamp()
-	var nbuf [4]int
 	for p := 0; p < n; p++ {
 		switch b.points[p] {
 		case Black:
@@ -394,7 +384,9 @@ func (b *Board) Score() (black, white int) {
 			b.visited[p] = b.stamp
 			touchBlack, touchWhite := false, false
 			for i := 0; i < len(b.queue); i++ {
-				for _, nb := range b.neighbors(b.queue[i], nbuf[:0]) {
+				q := b.queue[i]
+				k := q * 4
+				for _, nb := range b.nbr[k : k+int(b.nbrN[q])] {
 					switch b.points[nb] {
 					case Black:
 						touchBlack = true
@@ -403,7 +395,7 @@ func (b *Board) Score() (black, white int) {
 					case Vacant:
 						if b.visited[nb] != b.stamp {
 							b.visited[nb] = b.stamp
-							b.queue = append(b.queue, nb)
+							b.queue = append(b.queue, int(nb))
 						}
 					}
 				}
@@ -421,8 +413,8 @@ func (b *Board) Score() (black, white int) {
 // isEyeLike reports whether p is a single-point eye for c (playout move
 // filter: never fill your own eyes).
 func (b *Board) isEyeLike(p int, c Color) bool {
-	var nbuf [4]int
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
+	k := p * 4
+	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
 		if b.points[nb] != c {
 			return false
 		}

@@ -62,13 +62,11 @@ func (e *Engine) Reset(seed int64, p *perf.Profiler) {
 	}
 }
 
-// legalMoves lists non-eye-filling legal points (plus pass when none). One
-// scanGroups pass amortizes the group flood fills over the whole scan; the
-// per-point legalScanned verdicts — which feed the profiler's branch event
-// stream — are bit-identical to Legal's (see legalScanned).
+// legalMoves lists non-eye-filling legal points (plus pass when none). The
+// per-point legalScanned verdicts, which feed the profiler's branch event
+// stream, read the board's incrementally kept chain state.
 func (e *Engine) legalMoves(b *Board, c Color, buf []int) []int {
 	buf = buf[:0]
-	b.scanGroups()
 	for p := 0; p < b.Size*b.Size; p++ {
 		if b.points[p] != Vacant || b.isEyeLike(p, c) {
 			continue
