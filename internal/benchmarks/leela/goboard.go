@@ -148,13 +148,14 @@ func (b *Board) nextStamp() {
 	b.stamp++
 }
 
-// legalScanned is Legal for a vacant point, decided from the chain state:
+// legalVacant is Legal without the bounds and occupancy checks, for a
+// vacant point p, decided from the chain state:
 // a vacant neighbor is a liberty of the new stone; an opponent neighbor
 // chain with exactly one liberty must have p as that liberty (p is vacant
 // and adjacent), so the move captures; a friendly neighbor chain with a
 // second liberty beyond p keeps the merged chain alive. Otherwise the move
 // is suicide.
-func (b *Board) legalScanned(p int, c Color) bool {
+func (b *Board) legalVacant(p int, c Color) bool {
 	if p == b.koPoint {
 		return false
 	}
@@ -188,7 +189,7 @@ func (b *Board) Legal(p int, c Color) bool {
 	if p < 0 || p >= len(b.points) || b.points[p] != Vacant {
 		return false
 	}
-	return b.legalScanned(p, c)
+	return b.legalVacant(p, c)
 }
 
 // Play places a stone for c at p (or passes). It returns the number of

@@ -63,7 +63,7 @@ func (e *Engine) Reset(seed int64, p *perf.Profiler) {
 }
 
 // legalMoves lists non-eye-filling legal points (plus pass when none). The
-// per-point legalScanned verdicts, which feed the profiler's branch event
+// per-point legalVacant verdicts, which feed the profiler's branch event
 // stream, read the board's incrementally kept chain state.
 func (e *Engine) legalMoves(b *Board, c Color, buf []int) []int {
 	buf = buf[:0]
@@ -71,7 +71,7 @@ func (e *Engine) legalMoves(b *Board, c Color, buf []int) []int {
 		if b.points[p] != Vacant || b.isEyeLike(p, c) {
 			continue
 		}
-		legal := b.legalScanned(p, c)
+		legal := b.legalVacant(p, c)
 		if e.p != nil {
 			// Fused ops+branch, then the load: the three event channels are
 			// independent, so hoisting the branch past the load is

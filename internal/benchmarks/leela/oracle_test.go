@@ -13,50 +13,62 @@ type oracle struct {
 	points   []Color
 	koPoint  int
 	captures [3]int
-	// seen[q] == gen marks q as visited by the current flood.
+	// nbrs[p] lists p's orthogonal neighbors in up/down/left/right order.
+	nbrs [][]int
+	// seen[q] == gen marks q as visited by the current flood, whose stones
+	// are collected in buf.
 	seen []int
 	gen  int
+	buf  []int
 }
 
 func newOracle(size int) *oracle {
-	return &oracle{size: size, points: make([]Color, size*size), koPoint: -1,
-		seen: make([]int, size*size)}
+	n := size * size
+	o := &oracle{size: size, points: make([]Color, n), koPoint: -1,
+		nbrs: make([][]int, n), seen: make([]int, n), buf: make([]int, 0, n)}
+	for p := range o.nbrs {
+		r, c := p/size, p%size
+		nbs := make([]int, 0, 4)
+		if r > 0 {
+			nbs = append(nbs, p-size)
+		}
+		if r < size-1 {
+			nbs = append(nbs, p+size)
+		}
+		if c > 0 {
+			nbs = append(nbs, p-1)
+		}
+		if c < size-1 {
+			nbs = append(nbs, p+1)
+		}
+		o.nbrs[p] = nbs
+	}
+	return o
 }
 
 // oracleOf snapshots b's position.
 func oracleOf(b *Board) *oracle {
-	return &oracle{size: b.Size, points: append([]Color(nil), b.points...),
-		koPoint: b.koPoint, captures: b.captures, seen: make([]int, len(b.points))}
+	o := newOracle(b.Size)
+	o.load(b)
+	return o
 }
 
-// neighbors lists p's orthogonal neighbors in up/down/left/right order.
-func (o *oracle) neighbors(p int) []int {
-	r, c := p/o.size, p%o.size
-	nbs := make([]int, 0, 4)
-	if r > 0 {
-		nbs = append(nbs, p-o.size)
-	}
-	if r < o.size-1 {
-		nbs = append(nbs, p+o.size)
-	}
-	if c > 0 {
-		nbs = append(nbs, p-1)
-	}
-	if c < o.size-1 {
-		nbs = append(nbs, p+1)
-	}
-	return nbs
+// load replaces o's position with b's.
+func (o *oracle) load(b *Board) {
+	copy(o.points, b.points)
+	o.koPoint, o.captures = b.koPoint, b.captures
 }
 
 // group flood-fills the group containing the occupied point p, returning
-// its stones in visit order and its distinct liberty count.
+// its stones in visit order and its distinct liberty count. The stones
+// slice is reused by the next call.
 func (o *oracle) group(p int) (stones []int, libs int) {
 	col := o.points[p]
 	o.gen++
 	o.seen[p] = o.gen
-	stones = []int{p}
+	stones = append(o.buf[:0], p)
 	for i := 0; i < len(stones); i++ {
-		for _, nb := range o.neighbors(stones[i]) {
+		for _, nb := range o.nbrs[stones[i]] {
 			if o.seen[nb] == o.gen {
 				continue
 			}
@@ -107,7 +119,7 @@ func (o *oracle) legal(p int, c Color) bool {
 	}
 	o.points[p] = c
 	defer func() { o.points[p] = Vacant }()
-	for _, nb := range o.neighbors(p) {
+	for _, nb := range o.nbrs[p] {
 		if o.points[nb] == c.Opponent() {
 			if _, l := o.group(nb); l == 0 {
 				return true
@@ -130,7 +142,7 @@ func (o *oracle) play(p int, c Color) (int, error) {
 	}
 	o.points[p] = c
 	captured, koCandidate := 0, -1
-	for _, nb := range o.neighbors(p) {
+	for _, nb := range o.nbrs[p] {
 		if o.points[nb] != c.Opponent() {
 			continue
 		}
