@@ -32,11 +32,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of coverage-guided fuzzing for each Fuzz target (go test
-# fuzzes one target per invocation): the two perlbench differential
-# fuzzers, xalan's match-pattern fuzzer, the service request fuzzers, and
-# the provenance-name resolver over the real suite. FuzzBoardChains checks
-# leela's incremental chain state against a flood-fill oracle.
+# Ten seconds of coverage-guided fuzzing for each of the eight Fuzz targets
+# (go test fuzzes one target per invocation): perlbench's
+# FuzzExprDifferential and FuzzRegexCompiledDifferential, xalan's
+# FuzzMatchPatternDifferential, the service's FuzzJobRequest and
+# FuzzSweepRequest, FuzzResolveWorkload over the real suite's provenance
+# names, leela's FuzzBoardChains against a flood-fill oracle, and uarch's
+# FuzzCacheMatchesReference against the reference cache.
 # Plain `go test` runs only their seed corpora.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzExprDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
@@ -46,6 +48,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/service/
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveWorkload$$' -fuzztime 10s ./internal/benchmarks/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoardChains$$' -fuzztime 10s ./internal/benchmarks/leela/
+	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/uarch/
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # plus the full-suite wall clock. Slow — it characterizes the whole suite

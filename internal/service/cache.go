@@ -36,10 +36,7 @@ import (
 func cellKey(benchmark, workload string, cfg report.RunConfig) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%d\n", report.SchemaVersion)
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		fmt.Fprintf(h, "go=%s module=%s@%s sum=%s\n",
-			bi.GoVersion, bi.Main.Path, bi.Main.Version, bi.Main.Sum)
-	}
+	h.Write([]byte(buildIdentity()))
 	fmt.Fprintf(h, "benchmark=%s workload=%s\n", benchmark, workload)
 	fmt.Fprintf(h, "reps=%d\n", cfg.Reps)
 	// Sampled measurements extrapolate probe counters, so a sampled cell
@@ -48,6 +45,18 @@ func cellKey(benchmark, workload string, cfg report.RunConfig) string {
 	fmt.Fprintf(h, "sampled=%t interval=%d phases=%d\n", cfg.Sampled, cfg.SampledInterval, cfg.SampledPhases)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// buildIdentity is cellKey's build line, read from the embedded build info
+// once per process: it cannot change while the binary runs. It is empty
+// when the binary carries no build info.
+var buildIdentity = sync.OnceValue(func() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return ""
+	}
+	return fmt.Sprintf("go=%s module=%s@%s sum=%s\n",
+		bi.GoVersion, bi.Main.Path, bi.Main.Version, bi.Main.Sum)
+})
 
 // cellState is the lifecycle of a cellEntry: inflight (one leader is
 // executing, everyone else waits on done) → resolved (m is final and

@@ -1,41 +1,44 @@
 package uarch
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // invalidTag marks an empty way. Tags are full line numbers (addr >>
 // lineShift), so the sentinel collides only with an address in the last
 // modeled line of the 64-bit space, which no benchmark address map reaches.
 const invalidTag = ^uint64(0)
 
-// wayEntry packs one way's replacement state into a single cache-friendly
-// record: the full line number acting as tag (invalidTag when empty) and the
-// LRU age (0 = most recently used). A set's ways are contiguous in
-// Cache.ways, so a probe touches one array instead of chasing the three
-// parallel slices (lines/valid/lru) the pre-optimization model used — see
-// RefCache for that retained implementation.
-type wayEntry struct {
-	tag uint64
-	age uint8
-}
+// maxWays bounds associativity: a set's whole LRU order is one 64-bit word
+// of 4-bit way indices.
+const maxWays = 16
+
+// Per-nibble constants for the SWAR zero-nibble search in Access.
+const (
+	nibbleOnes = 0x1111111111111111
+	nibbleHigh = 0x8888888888888888
+)
 
 // Cache is a set-associative cache (or TLB, with LineSize = page size) with
 // true-LRU replacement. This is the optimized event-path model: set
-// selection is a mask (NewCache guarantees power-of-two sets), the probe
-// checks the set's MRU way first so looping and streaming patterns hit on
-// the first compare, and touch early-outs when the way is already MRU.
-// Behaviour is bit-identical to RefCache; TestCacheMatchesReference holds
-// the two to the same hit/miss sequence over randomized streams.
+// selection is a mask (NewCache guarantees power-of-two sets), a set's tags
+// are contiguous in one array, and its LRU order is one packed word, so a
+// hit or fill updates replacement state with a few shifts instead of an
+// age loop over the ways. Behaviour is bit-identical to RefCache;
+// TestCacheMatchesReference and FuzzCacheMatchesReference hold the two to
+// the same hit/miss sequence.
 type Cache struct {
-	name      string
-	sets      uint64
-	setMask   uint64
-	ways      int
-	lineShift uint
-	// ways of set s occupy entries[s*ways : (s+1)*ways].
-	entries []wayEntry
-	// mru[s] is the way index of set s's most-recently-used entry, probed
-	// before the way loop.
-	mru []int32
+	name        string
+	setMask     uint64
+	ways        int
+	lineShift   uint
+	victimShift uint // 4*(ways-1): the LRU nibble's offset in an order word
+	// tags of set s occupy tags[s*ways : (s+1)*ways]; invalidTag when empty.
+	tags []uint64
+	// order[s] lists set s's ways from most to least recently used, one way
+	// index per nibble: nibble 0 is the MRU way, nibble ways-1 the victim.
+	order []uint64
 
 	accesses uint64
 	misses   uint64
@@ -55,6 +58,9 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.Ways <= 0 || cfg.SizeB == 0 || cfg.LineSize == 0 {
 		panic(fmt.Sprintf("uarch: invalid cache config %+v", cfg))
 	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("uarch: cache %q has %d ways, more than %d", cfg.Name, cfg.Ways, maxWays))
+	}
 	if cfg.SizeB%(uint64(cfg.Ways)*cfg.LineSize) != 0 {
 		panic(fmt.Sprintf("uarch: cache %q size %d not divisible by ways*linesize", cfg.Name, cfg.SizeB))
 	}
@@ -70,17 +76,15 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(fmt.Sprintf("uarch: cache %q line size %d not a power of two", cfg.Name, cfg.LineSize))
 	}
 	c := &Cache{
-		name:      cfg.Name,
-		sets:      sets,
-		setMask:   sets - 1,
-		ways:      cfg.Ways,
-		lineShift: shift,
-		entries:   make([]wayEntry, int(sets)*cfg.Ways),
-		mru:       make([]int32, sets),
+		name:        cfg.Name,
+		setMask:     sets - 1,
+		ways:        cfg.Ways,
+		lineShift:   shift,
+		victimShift: 4 * uint(cfg.Ways-1),
+		tags:        make([]uint64, int(sets)*cfg.Ways),
+		order:       make([]uint64, sets),
 	}
-	for i := range c.entries {
-		c.entries[i].tag = invalidTag
-	}
+	c.Reset()
 	return c
 }
 
@@ -96,67 +100,52 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
 	set := line & c.setMask
 	base := int(set) * c.ways
-	ws := c.entries[base : base+c.ways : base+c.ways]
+	ts := c.tags[base : base+c.ways : base+c.ways]
+	o := &c.order[set]
 
-	// MRU-first probe: repeated and streaming accesses resolve on one
-	// compare, and an MRU hit needs no replacement update at all.
-	if ws[c.mru[set]].tag == line {
-		return true
-	}
-	for w := range ws {
-		if ws[w].tag == line {
-			c.touch(ws, set, w)
+	for w, t := range ts {
+		if t == line {
+			// Find way w's nibble: the lowest zero nibble of o xor w repeated
+			// in every nibble, exact as the set's nibbles permute its ways.
+			x := *o ^ uint64(w)*nibbleOnes
+			p := uint(bits.TrailingZeros64((x-nibbleOnes)&^x&nibbleHigh)) &^ 3
+			*o = promote(*o, p, uint64(w))
 			return true
 		}
 	}
 
-	// Miss: fill the first invalid way, or the LRU one.
+	// Miss: the LRU nibble names the victim. Reset orders the ways so that
+	// still-empty ways are victims first and in index order, matching
+	// RefCache's first-invalid-way fill.
 	c.misses++
-	victim := 0
-	oldest := uint8(0)
-	for w := range ws {
-		if ws[w].tag == invalidTag {
-			victim = w
-			break
-		}
-		if ws[w].age >= oldest {
-			oldest = ws[w].age
-			victim = w
-		}
-	}
-	ws[victim].tag = line
-	// Treat the victim as the oldest line so that touch ages every other
-	// way; otherwise cold fills would collapse all ages to zero and the
-	// set would degenerate to fixed-way replacement.
-	ws[victim].age = uint8(c.ways - 1)
-	c.touch(ws, set, victim)
+	victim := *o >> c.victimShift & 0xF
+	ts[victim] = line
+	*o = promote(*o, c.victimShift, victim)
 	return false
 }
 
-// touch marks way w of the set as most recently used. Callers on the hit
-// path only reach it for non-MRU ways, so the aging loop always has work.
-func (c *Cache) touch(ws []wayEntry, set uint64, w int) {
-	age := ws[w].age
-	if age == 0 {
-		c.mru[set] = int32(w)
-		return
-	}
-	for i := range ws {
-		if ws[i].age < age {
-			ws[i].age++
-		}
-	}
-	ws[w].age = 0
-	c.mru[set] = int32(w)
+// promote moves way w from nibble offset p (a multiple of 4) of order word
+// o to nibble 0, shifting the more recently used nibbles below p up one
+// place. Nibbles above p keep their place; p = 0 leaves o unchanged.
+func promote(o uint64, p uint, w uint64) uint64 {
+	below := uint64(1)<<p - 1
+	above := ^(below<<4 | 0xF)
+	return o&above | (o&below)<<4 | w
 }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines and clears statistics. Each set's order word
+// becomes ways-1, ..., 1, 0 from MRU to LRU, so cold fills take way 0, then
+// way 1, and so on.
 func (c *Cache) Reset() {
-	for i := range c.entries {
-		c.entries[i] = wayEntry{tag: invalidTag}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
-	for i := range c.mru {
-		c.mru[i] = 0
+	var cold uint64
+	for w := 0; w < c.ways; w++ {
+		cold = cold<<4 | uint64(w)
+	}
+	for i := range c.order {
+		c.order[i] = cold
 	}
 	c.accesses = 0
 	c.misses = 0
@@ -201,8 +190,10 @@ func (r MemoryResult) String() string {
 	}
 }
 
-// Hierarchy is an inclusive three-level data-cache hierarchy plus a DTLB,
-// mirroring the i7-2600 memory system the paper's measurements ran on.
+// Hierarchy is a non-inclusive three-level data-cache hierarchy plus a
+// DTLB, mirroring the i7-2600 memory system the paper's measurements ran
+// on. A miss fills every level it passes, but an LLC eviction never
+// back-invalidates L1 or L2.
 type Hierarchy struct {
 	L1   *Cache
 	L2   *Cache

@@ -17,8 +17,8 @@ import "fmt"
 
 // CacheState is a point-in-time snapshot of a Cache (or TLB).
 type CacheState struct {
-	entries  []wayEntry
-	mru      []int32
+	tags     []uint64
+	order    []uint64
 	accesses uint64
 	misses   uint64
 }
@@ -26,8 +26,8 @@ type CacheState struct {
 // Checkpoint captures the cache's complete replacement state and statistics.
 func (c *Cache) Checkpoint() *CacheState {
 	return &CacheState{
-		entries:  append([]wayEntry(nil), c.entries...),
-		mru:      append([]int32(nil), c.mru...),
+		tags:     append([]uint64(nil), c.tags...),
+		order:    append([]uint64(nil), c.order...),
 		accesses: c.accesses,
 		misses:   c.misses,
 	}
@@ -37,12 +37,12 @@ func (c *Cache) Checkpoint() *CacheState {
 // copies in place — no allocation — and panics on a geometry mismatch, which
 // indicates a checkpoint from a different cache.
 func (c *Cache) Restore(st *CacheState) {
-	if len(st.entries) != len(c.entries) || len(st.mru) != len(c.mru) {
-		panic(fmt.Sprintf("uarch: restore of cache %q from mismatched snapshot (%d/%d entries)",
-			c.name, len(st.entries), len(c.entries)))
+	if len(st.tags) != len(c.tags) || len(st.order) != len(c.order) {
+		panic(fmt.Sprintf("uarch: restore of cache %q from mismatched snapshot (%d/%d tags)",
+			c.name, len(st.tags), len(c.tags)))
 	}
-	copy(c.entries, st.entries)
-	copy(c.mru, st.mru)
+	copy(c.tags, st.tags)
+	copy(c.order, st.order)
 	c.accesses = st.accesses
 	c.misses = st.misses
 }

@@ -131,7 +131,7 @@ func (c *RefCache) Stats() (accesses, misses uint64) { return c.accesses, c.miss
 func (c *RefCache) Name() string { return c.name }
 
 // RefHierarchy is the reference counterpart of Hierarchy: the same
-// three-level inclusive data hierarchy plus DTLB, built from RefCaches.
+// three-level non-inclusive data hierarchy plus DTLB, built from RefCaches.
 type RefHierarchy struct {
 	L1   *RefCache
 	L2   *RefCache

@@ -173,12 +173,23 @@ func TestCacheReset(t *testing.T) {
 }
 
 func TestNewCachePanicsOnBadGeometry(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic on non-power-of-two line size")
-		}
-	}()
-	NewCache(CacheConfig{Name: "bad", SizeB: 1024, Ways: 2, LineSize: 48})
+	for _, tc := range []struct {
+		why string
+		cfg CacheConfig
+	}{
+		{"non-power-of-two line size", CacheConfig{Name: "bad", SizeB: 1024, Ways: 2, LineSize: 48}},
+		{"more ways than an order word holds", CacheConfig{Name: "bad", SizeB: 17 * 64, Ways: 17, LineSize: 64}},
+		{"no ways", CacheConfig{Name: "bad", SizeB: 1024, Ways: 0, LineSize: 64}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("want panic on %s", tc.why)
+				}
+			}()
+			NewCache(tc.cfg)
+		}()
+	}
 }
 
 func TestHierarchyLevels(t *testing.T) {
