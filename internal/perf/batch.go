@@ -39,27 +39,12 @@ func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
 	m := p.current
 	m.loads += n
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads += n
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoad(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoadScratch(m, base+k*stride)
-				}
-			}
+	if p.probing(m) {
+		for k := uint64(0); k < n; k++ {
+			p.classifyLoad(m, base+k*stride)
 		}
-		p.sampAdvance(n)
-		return
 	}
-	m.sLoads += n
-	for k := uint64(0); k < n; k++ {
-		p.classifyLoad(m, base+k*stride)
-	}
+	p.tick(n)
 }
 
 // StoreRange records n stores at base, base+stride, ...: exactly
@@ -74,25 +59,12 @@ func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
 	m := p.current
 	m.stores += n
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				for k := uint64(0); k < n; k++ {
-					p.storeProbe(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.storeProbeScratch(m, base+k*stride)
-				}
-			}
+	if p.probing(m) {
+		for k := uint64(0); k < n; k++ {
+			p.storeProbe(m, base+k*stride)
 		}
-		p.sampAdvance(n)
-		return
 	}
-	for k := uint64(0); k < n; k++ {
-		p.storeProbe(m, base+k*stride)
-	}
+	p.tick(n)
 }
 
 // LoadStore records the read-modify-write idiom of stencil and solver
@@ -108,21 +80,10 @@ func (p *Profiler) LoadStore(addr uint64) {
 	m.loads++
 	m.stores++
 	m.ops += 2
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads++
-				p.classifyLoad(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.classifyLoadScratch(m, addr)
-			}
-		}
-		p.sampAdvance(2)
-		return
+	if p.probing(m) {
+		p.classifyLoad(m, addr)
 	}
-	m.sLoads++
-	p.classifyLoad(m, addr)
+	p.tick(2)
 }
 
 // LoadStoreRange records n load/store pairs at base, base+stride, ...:
@@ -140,27 +101,12 @@ func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
 	m.loads += n
 	m.stores += n
 	m.ops += 2 * n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads += n
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoad(m, base+k*stride)
-				}
-			} else if s.live {
-				s.touch(m)
-				for k := uint64(0); k < n; k++ {
-					p.classifyLoadScratch(m, base+k*stride)
-				}
-			}
+	if p.probing(m) {
+		for k := uint64(0); k < n; k++ {
+			p.classifyLoad(m, base+k*stride)
 		}
-		p.sampAdvance(2 * n)
-		return
 	}
-	m.sLoads += n
-	for k := uint64(0); k < n; k++ {
-		p.classifyLoad(m, base+k*stride)
-	}
+	p.tick(2 * n)
 }
 
 // OpsBranch fuses the ubiquitous "do work, then branch on its result"
@@ -177,32 +123,17 @@ func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
 	if taken {
 		m.taken++
 	}
-	if s := p.samp; s != nil {
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase+site*8)]++
-		} else if s.warming {
-			p.fetch(m, n)
-			m.sBranches++
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.sMispredicts++
-			}
-		} else if s.live {
-			s.touch(m)
-			p.sampFetch(m, n)
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.iMisp++
-			}
-		} else {
-			advanceFetch(m, n)
+	pc := m.codeBase + site*8
+	if p.probing(m) {
+		p.fetch(m, n)
+		if !p.observe(pc, taken) {
+			m.sMispredicts++
 		}
-		p.sampAdvance(n + 1)
-		return
+	} else {
+		advanceFetch(m, n)
+		p.samp.sign(pc, 1)
 	}
-	p.fetch(m, n)
-	m.sBranches++
-	if !p.observe(m.codeBase+site*8, taken) {
-		m.sMispredicts++
-	}
+	p.tick(n + 1)
 }
 
 // classifyLoad probes the hierarchy for one load and folds the

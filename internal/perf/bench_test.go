@@ -156,3 +156,29 @@ func BenchmarkLoadStore(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSampledMeasure measures one measure pass of drivePinned under
+// pinnedPlan: live intervals probe, dead ones only count, and the weighted
+// ones fold at their boundaries. The warm pass that takes the checkpoints
+// runs once, outside the timer.
+func BenchmarkSampledMeasure(b *testing.B) {
+	plan := pinnedPlan()
+	p := New()
+	if err := p.BeginSampleWarm(plan); err != nil {
+		b.Fatal(err)
+	}
+	drivePinned(p)
+	ckpts, err := p.FinishSampleWarm()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		if err := p.BeginSampleMeasure(plan, ckpts); err != nil {
+			b.Fatal(err)
+		}
+		drivePinned(p)
+		p.Report()
+	}
+}

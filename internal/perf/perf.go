@@ -54,21 +54,24 @@ type methodRecord struct {
 	fetchOff uint64
 
 	// Exact event counts.
-	ops, longOps     uint64
-	branches, taken  uint64
-	loads, stores    uint64
-	icMiss, itlbMiss uint64
+	ops, longOps    uint64
+	branches, taken uint64
+	loads, stores   uint64
 
-	// Simulator probe outcome counts.
-	sBranches, sMispredicts           uint64
-	sLoads, sL2, sLLC, sMem, sTLBMiss uint64
+	probeCounts
 
-	// Interval scratch for phase-sampled mode (see sampled.go): probe
-	// outcomes of the current live interval, folded into the counters
-	// above — multiplied by the interval weight — at the next boundary.
-	// mark is the interval epoch that last touched this record.
-	iMisp, iL2, iLLC, iMem, iTLB, iIC, iITLB uint64
-	mark                                     uint32
+	// Phase-sampled measure passes (see sampled.go): base is probeCounts as
+	// it stood when the current weighted interval first touched this
+	// record, and touched says the interval has.
+	base    probeCounts
+	touched bool
+}
+
+// probeCounts are a method's simulator probe outcomes: the counters a
+// sampled measure pass extrapolates by interval weight.
+type probeCounts struct {
+	sMispredicts, sL2, sLLC, sMem, sTLBMiss uint64
+	icMiss, itlbMiss                        uint64
 }
 
 // Profiler is the modeled equivalent of "perf stat -e topdown... + perf
@@ -87,8 +90,8 @@ type Profiler struct {
 	ref *refSims
 
 	// samp, when non-nil, puts the profiler in a phase-sampled pass (see
-	// sampled.go): a signature-only profile pass or a plan-driven measure
-	// pass. Like ref, the exact hot path pays one nil check per event.
+	// sampled.go). The exact hot path pays a nil check in probing and one in
+	// tick.
 	samp *sampState
 
 	// memShift is the data-side coalescing granularity (log2 of the L1 line
@@ -262,23 +265,15 @@ func (p *Profiler) Enter(name string) {
 	p.stack = append(p.stack, p.current)
 	m := p.method(name)
 	p.current = m
-	if s := p.samp; s != nil {
-		// An entry retires no ops (no interval tick), but it is the
-		// strongest phase signal, so it weighs extra in the signature.
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase)] += enterSigWeight
-		} else if s.warming {
-			p.fetch(m, 1)
-		} else if s.live {
-			s.touch(m)
-			p.sampFetch(m, 1)
-		} else {
-			advanceFetch(m, 1)
-		}
-		return
+	// A call re-steers fetch to the method entry. It retires no ops (no
+	// interval tick), but it is the strongest phase signal, so it weighs
+	// extra in a profile pass's signature.
+	if p.probing(m) {
+		p.fetch(m, 1)
+	} else {
+		advanceFetch(m, 1)
+		p.samp.sign(m.codeBase, enterSigWeight)
 	}
-	// A call re-steers fetch to the method entry.
-	p.fetch(m, 1)
 }
 
 // Leave pops the region stack. Unbalanced Leave calls panic: they indicate
@@ -296,6 +291,29 @@ func (p *Profiler) Do(name string, fn func()) {
 	p.Enter(name)
 	defer p.Leave()
 	fn()
+}
+
+// probing reports whether an event of m probes the simulators: always on
+// the exact path and in a warm pass, only in live intervals of a measure
+// pass, never in a profile pass. In a weighted interval it first records
+// m's fold base (see sampState.touch), so the probes count straight into
+// m's report counters and the boundary fold extrapolates their growth.
+func (p *Profiler) probing(m *methodRecord) bool {
+	s := p.samp
+	if s == nil {
+		return true
+	}
+	if s.weight > 1 {
+		s.touch(m)
+	}
+	return s.weight > 0
+}
+
+// tick retires n ops against a sampled pass's interval clock.
+func (p *Profiler) tick(n uint64) {
+	if p.samp != nil {
+		p.sampAdvance(n)
+	}
 }
 
 // fetch advances the current method's instruction-fetch pointer by n ops and
@@ -335,21 +353,12 @@ func (p *Profiler) fetch(m *methodRecord, n uint64) {
 func (p *Profiler) Ops(n uint64) {
 	m := p.current
 	m.ops += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.fetch(m, n)
-			} else if s.live {
-				s.touch(m)
-				p.sampFetch(m, n)
-			} else {
-				advanceFetch(m, n)
-			}
-		}
-		p.sampAdvance(n)
-		return
+	if p.probing(m) {
+		p.fetch(m, n)
+	} else {
+		advanceFetch(m, n)
 	}
-	p.fetch(m, n)
+	p.tick(n)
 }
 
 // LongOps retires n long-latency micro-ops (divisions, square roots,
@@ -357,21 +366,12 @@ func (p *Profiler) Ops(n uint64) {
 func (p *Profiler) LongOps(n uint64) {
 	m := p.current
 	m.longOps += n
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.fetch(m, n)
-			} else if s.live {
-				s.touch(m)
-				p.sampFetch(m, n)
-			} else {
-				advanceFetch(m, n)
-			}
-		}
-		p.sampAdvance(n)
-		return
+	if p.probing(m) {
+		p.fetch(m, n)
+	} else {
+		advanceFetch(m, n)
 	}
-	p.fetch(m, n)
+	p.tick(n)
 }
 
 // observe routes a branch to the modeled (or reference) predictor.
@@ -392,27 +392,15 @@ func (p *Profiler) Branch(site uint64, taken bool) {
 		m.taken++
 	}
 	m.ops++ // the branch itself retires
-	if s := p.samp; s != nil {
-		if s.profiling {
-			s.cur[sigBucket(m.codeBase+site*8)]++
-		} else if s.warming {
-			m.sBranches++
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.sMispredicts++
-			}
-		} else if s.live {
-			s.touch(m)
-			if !p.observe(m.codeBase+site*8, taken) {
-				m.iMisp++
-			}
+	pc := m.codeBase + site*8
+	if p.probing(m) {
+		if !p.observe(pc, taken) {
+			m.sMispredicts++
 		}
-		p.sampAdvance(1)
-		return
+	} else {
+		p.samp.sign(pc, 1)
 	}
-	m.sBranches++
-	if !p.observe(m.codeBase+site*8, taken) {
-		m.sMispredicts++
-	}
+	p.tick(1)
 }
 
 // Jump records an unconditional control transfer: it retires one op and
@@ -432,21 +420,10 @@ func (p *Profiler) Load(addr uint64) {
 	m := p.current
 	m.loads++
 	m.ops++
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				m.sLoads++
-				p.classifyLoad(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.classifyLoadScratch(m, addr)
-			}
-		}
-		p.sampAdvance(1)
-		return
+	if p.probing(m) {
+		p.classifyLoad(m, addr)
 	}
-	m.sLoads++
-	p.classifyLoad(m, addr)
+	p.tick(1)
 }
 
 // Store records a data store to addr. Stores allocate in the hierarchy but
@@ -456,19 +433,10 @@ func (p *Profiler) Store(addr uint64) {
 	m := p.current
 	m.stores++
 	m.ops++
-	if s := p.samp; s != nil {
-		if !s.profiling {
-			if s.warming {
-				p.storeProbe(m, addr)
-			} else if s.live {
-				s.touch(m)
-				p.storeProbeScratch(m, addr)
-			}
-		}
-		p.sampAdvance(1)
-		return
+	if p.probing(m) {
+		p.storeProbe(m, addr)
 	}
-	p.storeProbe(m, addr)
+	p.tick(1)
 }
 
 // events converts a method record to uarch events.
@@ -522,10 +490,9 @@ func (p *Profiler) Report() Report {
 	if len(p.stack) != 0 {
 		panic(fmt.Sprintf("perf: Report with %d unmatched Enter calls (current %q)", len(p.stack), p.current.name))
 	}
-	// A sampled measure pass ends here: fold the final (partial, always
-	// live) interval's scratch into the report counters.
-	if s := p.samp; s != nil && !s.profiling && !s.warming {
-		s.finishMeasure()
+	// A sampled measure pass ends here: fold the final interval.
+	if p.samp != nil {
+		p.samp.fold()
 	}
 	var total uarch.Events
 	var totalSlots uarch.Slots

@@ -36,9 +36,12 @@ import (
 //     state the exact path would have — its probe outcomes are
 //     bit-identical to the exact run's for that interval, and the only
 //     sampling error left is how well each medoid represents its cluster.
-//     Live probe outcomes accumulate in per-interval scratch counters and
-//     fold into the report counters multiplied by the interval's weight,
-//     extrapolating the skipped population.
+//     Live intervals probe through the same functions as the exact path
+//     and count straight into the report counters. The first probe of a
+//     method in an interval of weight w > 1 records its counters as a
+//     base; at the boundary each such method's growth since its base is
+//     added w − 1 more times, extrapolating the skipped population
+//     (base + d + d·(w − 1) = base + d·w, exact in uint64 arithmetic).
 //
 // Warming policies without checkpoints were evaluated and rejected: state
 // carry-over alone under-fills the LLC (hit counts measured 72% low on a
@@ -48,7 +51,7 @@ import (
 //
 // Everything is deterministic: interval boundaries derive from exact op
 // counts, signatures from hashed static sites, clustering is seeded
-// deterministically, and the scratch fold walks an append-ordered slice —
+// deterministically, and the fold walks an append-ordered slice —
 // two sampled runs of the same workload are bit-identical (the harness
 // asserts it). perf cannot import internal/cluster (it would cycle through
 // report → core), so plan construction lives in internal/phase and the
@@ -92,10 +95,10 @@ const enterSigWeight = 4
 
 // SamplePlan tells a measure pass which intervals to simulate and how to
 // extrapolate them. Weights[i] is interval i's extrapolation weight: 0
-// skips the interval's probes entirely, w > 0 multiplies its probe
-// outcomes by w at the interval boundary. Intervals at or beyond
-// len(Weights) — possible only through event-count drift, which the
-// harness's checksum comparison would catch — are simulated with weight 1.
+// skips the interval's probes entirely, w > 0 counts its probe outcomes w
+// times. Intervals at or beyond len(Weights) — possible only through
+// event-count drift, which the harness's checksum comparison would catch —
+// are simulated with weight 1.
 type SamplePlan struct {
 	// IntervalOps is the interval size in retired micro-ops. It may exceed
 	// the profile pass's interval when internal/phase coarsened; boundaries
@@ -110,13 +113,12 @@ type SamplePlan struct {
 	Clustered bool
 }
 
-// liveAt reports whether interval i is simulated, and its weight.
-func (pl *SamplePlan) liveAt(i int) (bool, uint32) {
+// weightAt returns interval i's weight.
+func (pl *SamplePlan) weightAt(i int) uint32 {
 	if i >= len(pl.Weights) {
-		return true, 1
+		return 1
 	}
-	w := pl.Weights[i]
-	return w > 0, w
+	return pl.Weights[i]
 }
 
 // LiveIntervals counts the intervals a measure pass will fully simulate.
@@ -176,13 +178,15 @@ const (
 )
 
 // sampState is the per-pass state of sampled mode; Profiler.samp is nil
-// outside it (the exact hot path pays one predictable nil check per event,
-// the same price the reference path already pays).
+// outside it.
 type sampState struct {
 	intervalOps uint64
 	mode        sampleMode
-	profiling   bool // mode == sampProfile, kept flat for the hot path
-	warming     bool // mode == sampWarm, likewise
+
+	// weight is the current interval's weight: probes run where it is
+	// nonzero and fold where it exceeds 1. A profile pass probes nothing
+	// (0), a warm pass everything (1), a measure pass follows its plan.
+	weight uint32
 
 	// Stream position: seq is the current interval index, opsInInterval
 	// the retired ops inside it. Events commit to the interval current at
@@ -201,13 +205,10 @@ type sampState struct {
 
 	// Measure pass. Live intervals probe and count; dead intervals only
 	// keep the architectural counters and the fetch offsets advancing.
+	// touched lists the methods given a fold base in the current interval.
 	plan    *SamplePlan
 	restore map[int]*simCheckpoint
-	live    bool
-	weight  uint32
-	epoch   uint32
 	touched []*methodRecord
-	done    bool
 }
 
 // Sampled reports whether the profiler is currently in a sampled pass.
@@ -237,7 +238,7 @@ func (p *Profiler) BeginSampleProfile(intervalOps uint64) error {
 	if intervalOps == 0 {
 		return fmt.Errorf("perf: sample interval must be >= 1 op")
 	}
-	p.samp = &sampState{intervalOps: intervalOps, mode: sampProfile, profiling: true}
+	p.samp = &sampState{intervalOps: intervalOps, mode: sampProfile}
 	return nil
 }
 
@@ -272,7 +273,7 @@ func (p *Profiler) BeginSampleWarm(plan *SamplePlan) error {
 	s := &sampState{
 		intervalOps: plan.IntervalOps,
 		mode:        sampWarm,
-		warming:     true,
+		weight:      1,
 		ckptAt:      make(map[int]bool),
 		ckpts:       &SampleCheckpoints{intervalOps: plan.IntervalOps, byInterval: make(map[int]*simCheckpoint)},
 	}
@@ -299,8 +300,7 @@ func (p *Profiler) FinishSampleWarm() (*SampleCheckpoints, error) {
 // from the warm pass's checkpoints at each dead→live transition. ckpts may
 // be nil only for a plan with no dead→live transitions (an all-live plan).
 // It must be called on a fresh or Reset profiler, before any events. The
-// measurement is finalized by Report, which folds the pending interval's
-// scratch.
+// measurement is finalized by Report, which folds the pending interval.
 func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints) error {
 	if err := p.sampleModeError(); err != nil {
 		return err
@@ -325,9 +325,7 @@ func (p *Profiler) BeginSampleMeasure(plan *SamplePlan, ckpts *SampleCheckpoints
 		}
 		restore[i] = ck
 	}
-	s := &sampState{intervalOps: plan.IntervalOps, mode: sampMeasure, plan: plan, restore: restore, epoch: 1}
-	s.live, s.weight = plan.liveAt(0)
-	p.samp = s
+	p.samp = &sampState{intervalOps: plan.IntervalOps, mode: sampMeasure, weight: plan.weightAt(0), plan: plan, restore: restore}
 	return nil
 }
 
@@ -355,17 +353,15 @@ func (p *Profiler) sampAdvance(n uint64) {
 }
 
 // sampBoundary handles one measure-pass interval transition: fold the
-// finished live interval's scratch at its weight, take the next interval's
-// phase, and on a dead→live edge restore the warm pass's snapshot so the
-// live interval measures from exactly the simulator state the exact path
-// would have. Between restore points state simply carries over, untouched.
+// finished interval at its weight, take the next interval's weight, and on
+// a dead→live edge restore the warm pass's snapshot so the live interval
+// measures from exactly the simulator state the exact path would have.
+// Between restore points state simply carries over, untouched.
 func (p *Profiler) sampBoundary() {
 	s := p.samp
-	if s.live {
-		s.fold()
-	}
+	s.fold()
 	s.seq++
-	s.live, s.weight = s.plan.liveAt(s.seq)
+	s.weight = s.plan.weightAt(s.seq)
 	if ck, ok := s.restore[s.seq]; ok {
 		p.restoreSims(ck)
 	}
@@ -393,75 +389,46 @@ func (p *Profiler) restoreSims(ck *simCheckpoint) {
 	p.lastFetch = ck.lastFetch
 }
 
-// touch registers m as dirty in the current interval so fold visits it.
+// touch records m's probe counts as its fold base the first time m is
+// touched in the current interval, before the probe that touches it.
 func (s *sampState) touch(m *methodRecord) {
-	if m.mark != s.epoch {
-		m.mark = s.epoch
+	if !m.touched {
+		m.touched = true
+		m.base = m.probeCounts
 		s.touched = append(s.touched, m)
 	}
 }
 
-// fold extrapolates the finished interval: every touched method's scratch
-// probe outcomes enter its report counters multiplied by the interval
-// weight. The touched slice is append-ordered — no map iteration — so the
-// fold is deterministic.
+// fold extrapolates the finished interval: every touched method's probe
+// counts grew by d since its base, once, and gain d·(weight − 1) more. The
+// touched slice is append-ordered — no map iteration — so the fold is
+// deterministic. Only intervals of weight > 1 touch, so fold is a no-op
+// elsewhere and after its first call on an interval.
 func (s *sampState) fold() {
-	w := uint64(s.weight)
+	k := uint64(s.weight) - 1
 	for _, m := range s.touched {
-		m.sMispredicts += m.iMisp * w
-		m.sL2 += m.iL2 * w
-		m.sLLC += m.iLLC * w
-		m.sMem += m.iMem * w
-		m.sTLBMiss += m.iTLB * w
-		m.icMiss += m.iIC * w
-		m.itlbMiss += m.iITLB * w
-		m.iMisp, m.iL2, m.iLLC, m.iMem = 0, 0, 0, 0
-		m.iTLB, m.iIC, m.iITLB = 0, 0, 0
+		m.touched = false
+		c, b := &m.probeCounts, &m.base
+		c.sMispredicts += (c.sMispredicts - b.sMispredicts) * k
+		c.sL2 += (c.sL2 - b.sL2) * k
+		c.sLLC += (c.sLLC - b.sLLC) * k
+		c.sMem += (c.sMem - b.sMem) * k
+		c.sTLBMiss += (c.sTLBMiss - b.sTLBMiss) * k
+		c.icMiss += (c.icMiss - b.icMiss) * k
+		c.itlbMiss += (c.itlbMiss - b.itlbMiss) * k
 	}
 	s.touched = s.touched[:0]
-	s.epoch++
 }
 
-// finishMeasure folds the final (possibly partial) live interval. Report
-// calls it exactly once; the final interval is always live (the plan pins
-// the last interval's weight to 1), so no probe outcome is lost.
-func (s *sampState) finishMeasure() {
-	if s.done {
-		return
+// sign adds w to x's bucket of the interval signature in a profile pass.
+func (s *sampState) sign(x uint64, w uint32) {
+	if s.mode == sampProfile {
+		s.cur[sigBucket(x)] += w
 	}
-	if s.live {
-		s.fold()
-	}
-	s.done = true
 }
 
-// sampFetch is fetch for live intervals: identical walk, memo, and probe
-// order, but misses land in interval scratch for weighted folding.
-func (p *Profiler) sampFetch(m *methodRecord, n uint64) {
-	bytes := n * opBytes
-	if bytes > m.codeSize*2 {
-		bytes = m.codeSize * 2
-	}
-	start := m.fetchOff
-	for off := uint64(0); off < bytes; off += 64 {
-		addr := m.codeBase + (start+off)%m.codeSize
-		line := addr >> 6
-		if line == p.lastFetch {
-			continue
-		}
-		p.lastFetch = line
-		if !p.l1i.Access(addr) {
-			m.iIC++
-		}
-		if !p.itlb.Access(addr) {
-			m.iITLB++
-		}
-	}
-	m.fetchOff = (start + bytes) % m.codeSize
-}
-
-// advanceFetch advances the fetch pointer through a dead interval without
-// probing, so a later live interval resumes at the same code offset the
+// advanceFetch advances the fetch pointer without probing, through a dead
+// interval or a profile pass, so a later live interval resumes at the same code offset the
 // exact path would be at.
 func advanceFetch(m *methodRecord, n uint64) {
 	bytes := n * opBytes
@@ -469,39 +436,4 @@ func advanceFetch(m *methodRecord, n uint64) {
 		bytes = m.codeSize * 2
 	}
 	m.fetchOff = (m.fetchOff + bytes) % m.codeSize
-}
-
-// classifyLoadScratch is classifyLoad with outcomes routed to interval
-// scratch. Only live intervals reach it, and sampled mode never runs with
-// the reference simulators, so the memo needs no p.ref guard.
-func (p *Profiler) classifyLoadScratch(m *methodRecord, addr uint64) {
-	line := addr >> p.memShift
-	if line == p.lastData {
-		return
-	}
-	p.lastData = line
-	res, tlbMiss := p.mem.Access(addr)
-	if tlbMiss {
-		m.iTLB++
-	}
-	switch res {
-	case uarch.HitL2:
-		m.iL2++
-	case uarch.HitLLC:
-		m.iLLC++
-	case uarch.HitMemory:
-		m.iMem++
-	}
-}
-
-// storeProbeScratch is storeProbe with the TLB outcome routed to scratch.
-func (p *Profiler) storeProbeScratch(m *methodRecord, addr uint64) {
-	line := addr >> p.memShift
-	if line == p.lastData {
-		return
-	}
-	p.lastData = line
-	if _, tlbMiss := p.mem.Access(addr); tlbMiss {
-		m.iTLB++
-	}
 }
