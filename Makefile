@@ -32,13 +32,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of coverage-guided fuzzing for each of the eight Fuzz targets
+# Ten seconds of coverage-guided fuzzing for each of the ten Fuzz targets
 # (go test fuzzes one target per invocation): perlbench's
 # FuzzExprDifferential and FuzzRegexCompiledDifferential, xalan's
 # FuzzMatchPatternDifferential, the service's FuzzJobRequest and
 # FuzzSweepRequest, FuzzResolveWorkload over the real suite's provenance
-# names, leela's FuzzBoardChains against a flood-fill oracle, and uarch's
-# FuzzCacheMatchesReference against the reference cache.
+# names, leela's FuzzBoardChains against a flood-fill oracle, uarch's
+# FuzzCacheMatchesReference against the reference cache, perf's
+# FuzzEventsMatchReference against the reference event path attached in
+# lockstep, and report's FuzzReportDecode over envelope bytes.
 # Plain `go test` runs only their seed corpora.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzExprDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
@@ -49,6 +51,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveWorkload$$' -fuzztime 10s ./internal/benchmarks/
 	$(GO) test -run '^$$' -fuzz '^FuzzBoardChains$$' -fuzztime 10s ./internal/benchmarks/leela/
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/uarch/
+	$(GO) test -run '^$$' -fuzz '^FuzzEventsMatchReference$$' -fuzztime 10s ./internal/perf/
+	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime 10s ./internal/harness/report/
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # plus the full-suite wall clock. Slow — it characterizes the whole suite
@@ -74,11 +78,11 @@ bench-budget:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./internal/perf/ .
 
-# Full differential sweep: every benchmark × every workload, optimized vs
-# test-only reference-oracle profiler AND prepared vs cold runs, Reports
-# required bit-identical.
+# Full differential sweep: every benchmark × every workload, optimized
+# profiler vs the test-only reference path attached in lockstep (perf) AND
+# prepared vs cold runs (harness), Reports required bit-identical.
 diff-full:
-	ALBERTA_DIFF_FULL=1 $(GO) test -run 'TestSuiteDifferentialReference|TestPreparedMatchesColdRuns' -v ./internal/harness/
+	ALBERTA_DIFF_FULL=1 $(GO) test -run 'TestSuiteDifferentialReference|TestPreparedMatchesColdRuns' -v ./internal/harness/ ./internal/perf/
 
 # Sampled-vs-exact differential gate: every benchmark × every workload is
 # measured both ways and each report counter must stay within its

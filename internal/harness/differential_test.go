@@ -11,72 +11,6 @@ import (
 	"repro/internal/perf"
 )
 
-// TestSuiteDifferentialReference replays benchmark workloads through the
-// optimized event path and the retained pre-optimization reference path
-// (perf.Options.Reference) and requires bit-identical checksums and full
-// perf.Reports — every method row, counter and coverage share, with only
-// WallTime zeroed — the proof that the event-path rewrite changed no Report
-// anywhere in the suite. A Measurement is derived from the Report, so this
-// is at least as strong as comparing Measurements.
-//
-// By default every benchmark runs its test and train workloads, which keeps
-// the sweep affordable on one core. Set ALBERTA_DIFF_FULL=1 (CI does, in a
-// dedicated step) to sweep all 15 benchmarks × every workload, including
-// refrate/refspeed and the Alberta inputs.
-func TestSuiteDifferentialReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential sweep skipped in -short mode")
-	}
-	full := os.Getenv("ALBERTA_DIFF_FULL") == "1"
-
-	suite, err := benchmarks.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs := 0
-	for _, b := range suite.Benchmarks() {
-		ws, err := b.Workloads()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range ws {
-			if !full {
-				if k := w.WorkloadKind(); k != core.KindTest && k != core.KindTrain {
-					continue
-				}
-			}
-			b, w := b, w
-			pairs++
-			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				opt, optSum := profileOnce(t, b, w, perf.New())
-				ref, refSum := profileOnce(t, b, w, perf.NewWithOptions(perf.Options{Reference: true}))
-				if optSum != refSum {
-					t.Errorf("checksum: optimized %x, reference %x", optSum, refSum)
-				}
-				if !reflect.DeepEqual(opt, ref) {
-					t.Errorf("optimized report diverges from reference\noptimized: %+v\nreference: %+v", opt, ref)
-				}
-			})
-		}
-	}
-	if pairs == 0 {
-		t.Fatal("no workloads selected")
-	}
-}
-
-// profileOnce prepares w and executes it once on the fresh profiler p,
-// returning the full Report with WallTime zeroed and the checksum.
-func profileOnce(t *testing.T, b core.Benchmark, w core.Workload, p *perf.Profiler) (perf.Report, uint64) {
-	t.Helper()
-	res, err := core.Run(b, w, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rpt := p.Report()
-	rpt.WallTime = 0
-	return rpt, res.Checksum
-}
-
 // TestPreparedMatchesColdRuns is the prepared-workload acceptance sweep: a
 // cell run through the harness — input prepared once, shared by several
 // repetitions, profiler recycled with Reset between them — must produce a

@@ -9,10 +9,6 @@ import "repro/internal/uarch"
 // same-line memo (see classifyLoad) collapse runs of consecutive same-line
 // accesses into a single hierarchy probe.
 //
-// Options.Reference forces the literal per-event fallback: the reference
-// path is the retained pre-optimization event path, which had no batched
-// forms.
-//
 // Phase-sampled passes (see sampled.go) keep the batched forms but handle
 // them at batch granularity: the whole batch commits to the interval that
 // is current at its start — probed in live intervals, counted only in dead
@@ -30,13 +26,10 @@ import "repro/internal/uarch"
 // exactly `for k := 0..n-1 { Load(base + k*stride) }`, with the per-load
 // bookkeeping hoisted out of the loop.
 func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
-	if p.ref != nil {
-		for k := uint64(0); k < n; k++ {
-			p.Load(base + k*stride)
-		}
-		return
-	}
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.LoadRange(m, base, stride, n)
+	}
 	m.loads += n
 	m.ops += n
 	if p.probing(m) {
@@ -50,13 +43,10 @@ func (p *Profiler) LoadRange(base, stride uint64, n uint64) {
 // StoreRange records n stores at base, base+stride, ...: exactly
 // `for k := 0..n-1 { Store(base + k*stride) }`.
 func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
-	if p.ref != nil {
-		for k := uint64(0); k < n; k++ {
-			p.Store(base + k*stride)
-		}
-		return
-	}
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.StoreRange(m, base, stride, n)
+	}
 	m.stores += n
 	m.ops += n
 	if p.probing(m) {
@@ -71,12 +61,10 @@ func (p *Profiler) StoreRange(base, stride uint64, n uint64) {
 // kernels: exactly `Load(addr); Store(addr)`. The store's probe is always
 // coalesced by the memo — the load just made the line MRU.
 func (p *Profiler) LoadStore(addr uint64) {
-	if p.ref != nil {
-		p.Load(addr)
-		p.Store(addr)
-		return
-	}
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.LoadStore(m, addr)
+	}
 	m.loads++
 	m.stores++
 	m.ops += 2
@@ -89,15 +77,10 @@ func (p *Profiler) LoadStore(addr uint64) {
 // LoadStoreRange records n load/store pairs at base, base+stride, ...:
 // exactly `for k := 0..n-1 { Load(base + k*stride); Store(base + k*stride) }`.
 func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
-	if p.ref != nil {
-		for k := uint64(0); k < n; k++ {
-			addr := base + k*stride
-			p.Load(addr)
-			p.Store(addr)
-		}
-		return
-	}
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.LoadStoreRange(m, base, stride, n)
+	}
 	m.loads += n
 	m.stores += n
 	m.ops += 2 * n
@@ -112,12 +95,10 @@ func (p *Profiler) LoadStoreRange(base, stride uint64, n uint64) {
 // OpsBranch fuses the ubiquitous "do work, then branch on its result"
 // kernel step: exactly `Ops(n); Branch(site, taken)` in one call.
 func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
-	if p.ref != nil {
-		p.Ops(n)
-		p.Branch(site, taken)
-		return
-	}
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.OpsBranch(m, n, site, taken)
+	}
 	m.ops += n + 1 // n work ops plus the branch itself retiring
 	m.branches++
 	if taken {
@@ -126,7 +107,7 @@ func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
 	pc := m.codeBase + site*8
 	if p.probing(m) {
 		p.fetch(m, n)
-		if !p.observe(pc, taken) {
+		if !p.tour.Observe(pc, taken) {
 			m.sMispredicts++
 		}
 	} else {
@@ -136,20 +117,18 @@ func (p *Profiler) OpsBranch(n uint64, site uint64, taken bool) {
 	p.tick(n + 1)
 }
 
-// classifyLoad probes the hierarchy for one load and folds the
-// outcome into the method's probe-outcome counters. On the optimized path a
-// repeat of the last probed line is skipped: it is a guaranteed L1+DTLB MRU
-// hit (same line ⇒ same page; touching an MRU way of a true-LRU set is the
-// identity; an L1 hit never reaches L2/LLC), and HitL1 without a TLB miss
-// increments nothing here.
+// classifyLoad probes the hierarchy for one load and folds the outcome into
+// the method's probe-outcome counters. A repeat of the last probed line is
+// skipped: it is a guaranteed L1+DTLB MRU hit (same line ⇒ same page;
+// touching an MRU way of a true-LRU set is the identity; an L1 hit never
+// reaches L2/LLC), and HitL1 without a TLB miss increments nothing here.
 func (p *Profiler) classifyLoad(m *methodRecord, addr uint64) {
-	if line := addr >> p.memShift; p.ref == nil {
-		if line == p.lastData {
-			return
-		}
-		p.lastData = line
+	line := addr >> p.memShift
+	if line == p.lastData {
+		return
 	}
-	res, tlbMiss := p.memAccess(addr)
+	p.lastData = line
+	res, tlbMiss := p.mem.Access(addr)
 	if tlbMiss {
 		m.sTLBMiss++
 	}
@@ -166,13 +145,12 @@ func (p *Profiler) classifyLoad(m *methodRecord, addr uint64) {
 // storeProbe probes the hierarchy for one store (TLB outcome only),
 // with the same same-line memo as classifyLoad.
 func (p *Profiler) storeProbe(m *methodRecord, addr uint64) {
-	if line := addr >> p.memShift; p.ref == nil {
-		if line == p.lastData {
-			return
-		}
-		p.lastData = line
+	line := addr >> p.memShift
+	if line == p.lastData {
+		return
 	}
-	if _, tlbMiss := p.memAccess(addr); tlbMiss {
+	p.lastData = line
+	if _, tlbMiss := p.mem.Access(addr); tlbMiss {
 		m.sTLBMiss++
 	}
 }

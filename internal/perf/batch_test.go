@@ -63,33 +63,27 @@ func batchWorkload(p *Profiler, batched bool) {
 }
 
 // TestBatchedMatchesPerEvent holds every batched API to its documented
-// per-event decomposition: Reports must be bit-identical, on both the
-// coalescing optimized path and the per-event reference fallback.
+// per-event decomposition: Reports must be bit-identical.
 func TestBatchedMatchesPerEvent(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		opts := Options{Reference: reference}
-		pb := NewWithOptions(opts)
-		batchWorkload(pb, true)
-		pe := NewWithOptions(opts)
-		batchWorkload(pe, false)
-		rb, re := stripTiming(pb.Report()), stripTiming(pe.Report())
-		if !reflect.DeepEqual(rb, re) {
-			t.Errorf("reference=%v: batched report diverges from per-event\nbatched:   %+v\nper-event: %+v",
-				reference, rb.Total, re.Total)
-		}
+	pb := New()
+	batchWorkload(pb, true)
+	pe := New()
+	batchWorkload(pe, false)
+	rb, re := stripTiming(pb.Report()), stripTiming(pe.Report())
+	if !reflect.DeepEqual(rb, re) {
+		t.Errorf("batched report diverges from per-event\nbatched:   %+v\nper-event: %+v", rb.Total, re.Total)
 	}
 }
 
 // TestReferencePathBitIdentical replays the same event stream through the
-// optimized simulators and the retained pre-optimization ones: the whole
-// point of the rewrite is that Reports do not change.
+// optimized path and, in lockstep, the retained pre-optimization one: the
+// whole point of the rewrite is that Reports do not change.
 func TestReferencePathBitIdentical(t *testing.T) {
 	for _, batched := range []bool{false, true} {
 		opt := New()
+		ref := AttachReference(opt)
 		batchWorkload(opt, batched)
-		ref := NewWithOptions(Options{Reference: true})
-		batchWorkload(ref, batched)
-		ro, rr := stripTiming(opt.Report()), stripTiming(ref.Report())
+		ro, rr := stripTiming(opt.Report()), stripTiming(ref())
 		if !reflect.DeepEqual(ro, rr) {
 			t.Errorf("batched=%v: optimized report diverges from reference\noptimized: %+v\nreference: %+v",
 				batched, ro.Total, rr.Total)
@@ -100,16 +94,13 @@ func TestReferencePathBitIdentical(t *testing.T) {
 // TestProfilerReset holds a reused profiler to the fresh-profiler contract:
 // after Reset, an identical event stream must yield an identical Report.
 func TestProfilerReset(t *testing.T) {
-	for _, reference := range []bool{false, true} {
-		p := NewWithOptions(Options{Reference: reference})
-		batchWorkload(p, true)
-		first := stripTiming(p.Report())
-		p.Reset()
-		batchWorkload(p, true)
-		second := stripTiming(p.Report())
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("reference=%v: report after Reset diverges\nfirst:  %+v\nsecond: %+v",
-				reference, first.Total, second.Total)
-		}
+	p := New()
+	batchWorkload(p, true)
+	first := stripTiming(p.Report())
+	p.Reset()
+	batchWorkload(p, true)
+	second := stripTiming(p.Report())
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("report after Reset diverges\nfirst:  %+v\nsecond: %+v", first.Total, second.Total)
 	}
 }

@@ -2,32 +2,19 @@ package perf
 
 import "testing"
 
-// Microbenchmarks for the event hot path, each run once on the optimized
-// simulators and once on the retained reference path (Options.Reference), so
-// `go test -bench` shows the rewrite's speedup directly and cmd/albertabench
-// can record it in BENCH_profiler.json.
-
-var eventPaths = []struct {
-	name string
-	ref  bool
-}{
-	{"opt", false},
-	{"ref", true},
-}
+// Microbenchmarks for the event hot path; cmd/albertabench times the same
+// bodies for BENCH_profiler.json. The retained reference path's timings are
+// frozen in DESIGN.md §10.
 
 // BenchmarkLoadHit measures an 8-byte-element walk over an L1-resident
 // buffer: the dominant event of cache-friendly kernels. Seven of eight loads
 // repeat the previous line, the case the same-line memo targets.
 func BenchmarkLoadHit(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Load(uint64(i&511) * 8)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Load(uint64(i&511) * 8)
 	}
 }
 
@@ -35,15 +22,11 @@ func BenchmarkLoadHit(b *testing.B) {
 // (lbm's access shape): every eighth load crosses into a fresh line and
 // misses all the way to memory.
 func BenchmarkLoadStream(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Load(uint64(i) * 8 % (64 << 20))
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Load(uint64(i) * 8 % (64 << 20))
 	}
 }
 
@@ -51,109 +34,81 @@ func BenchmarkLoadStream(b *testing.B) {
 // reuse at all, so every load pays the full four-level probe plus fills.
 // This isolates the raw simulator speedup with no help from the memo.
 func BenchmarkLoadMiss(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Load(uint64(i) * 64 % (64 << 20))
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Load(uint64(i) * 64 % (64 << 20))
 	}
 }
 
 // BenchmarkStore measures an 8-byte-element store walk over a resident
 // buffer (TLB plus line fill, no latency classification).
 func BenchmarkStore(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Store(uint64(i&511) * 8)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Store(uint64(i&511) * 8)
 	}
 }
 
 // BenchmarkBranchPredictable measures a branch the tournament predictor
 // learns perfectly.
 func BenchmarkBranchPredictable(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Branch(1, true)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Branch(1, true)
 	}
 }
 
 // BenchmarkBranchRandom measures an unlearnable branch (constant
 // mispredict-path work in the predictor tables).
 func BenchmarkBranchRandom(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			state := uint64(88172645463325252)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				state ^= state << 13
-				state ^= state >> 7
-				state ^= state << 17
-				p.Branch(1, state&1 == 0)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	state := uint64(88172645463325252)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state ^= state << 13
+		state ^= state >> 7
+		state ^= state << 17
+		p.Branch(1, state&1 == 0)
 	}
 }
 
 // BenchmarkOpsBranch measures the fused work-then-branch call that the
 // benchmark kernels' inner loops issue.
 func BenchmarkOpsBranch(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.OpsBranch(8, 3, i&7 != 0)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.OpsBranch(8, 3, i&7 != 0)
 	}
 }
 
 // BenchmarkLoadRange measures a 64-load sequential batch (8-byte elements,
 // i.e. 8 loads per cache line get coalesced into one probe at stride 1).
 func BenchmarkLoadRange(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.LoadRange(uint64(i)*512%(16<<20), 8, 64)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.LoadRange(uint64(i)*512%(16<<20), 8, 64)
 	}
 }
 
 // BenchmarkLoadStore measures the read-modify-write pair, whose store probe
 // the batched form coalesces away.
 func BenchmarkLoadStore(b *testing.B) {
-	for _, path := range eventPaths {
-		b.Run(path.name, func(b *testing.B) {
-			p := NewWithOptions(Options{Reference: path.ref})
-			p.Enter("bench")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.LoadStore(uint64(i&4095) * 16)
-			}
-		})
+	p := New()
+	p.Enter("bench")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.LoadStore(uint64(i&4095) * 16)
 	}
 }
 

@@ -33,20 +33,6 @@ const opBytes = 4
 // their instruction-cache pressure.
 const DefaultFootprint = 1 << 10
 
-// Options configure a Profiler.
-type Options struct {
-	// Model supplies the slot cost parameters; zero value means
-	// uarch.DefaultModel.
-	Model uarch.Model
-	// Reference selects the retained pre-optimization event path: reference
-	// simulators (uarch.RefHierarchy, uarch.RefCache, uarch.RefTournament)
-	// and per-event decomposition of the batched APIs. Reports are
-	// bit-identical to the optimized path. It is a test oracle, not a run
-	// mode: only differential tests set it, to compare the two paths in
-	// place.
-	Reference bool
-}
-
 type methodRecord struct {
 	name     string
 	codeBase uint64
@@ -84,10 +70,8 @@ type Profiler struct {
 	l1i   *uarch.Cache
 	itlb  *uarch.Cache
 
-	// ref, when non-nil, routes every simulator probe through the retained
-	// pre-optimization models instead (see Options.Reference). The hot path
-	// pays one well-predicted nil check per probe.
-	ref *refSims
+	// mirror is nil outside the differential tests (see eventMirror).
+	mirror eventMirror
 
 	// samp, when non-nil, puts the profiler in a phase-sampled pass (see
 	// sampled.go). The exact hot path pays a nil check in probing and one in
@@ -102,8 +86,8 @@ type Profiler struct {
 	// lastData and lastFetch memoize the line of the most recent data and
 	// instruction probe. A repeat of the last probed line is a guaranteed
 	// MRU hit at every level — probing it neither changes simulator state
-	// nor any Report counter — so the optimized path skips the probe
-	// entirely (see DESIGN.md). Sentinel ^0 means "nothing probed yet".
+	// nor any Report counter — so the probe is skipped entirely (see
+	// DESIGN.md). Sentinel ^0 means "nothing probed yet".
 	lastData  uint64
 	lastFetch uint64
 
@@ -120,72 +104,44 @@ type Profiler struct {
 	started time.Time
 }
 
-// refSims bundles the reference simulators of the pre-optimization path.
-type refSims struct {
-	tour *uarch.RefTournament
-	mem  *uarch.RefHierarchy
-	l1i  *uarch.RefCache
-	itlb *uarch.RefCache
+// eventMirror is handed, in lockstep, every event the public event methods
+// take, with the host's record of the method current at the event. It is a
+// test seam: the differential tests attach the retained pre-optimization
+// event path here (see export_test.go), and nothing outside _test.go files
+// sets it. Leave and SetFootprint are not mirrored; a mirror reads
+// attribution and codeSize from the record it is handed. Reset is not
+// mirrored either, so a mirror sees the events of one run.
+type eventMirror interface {
+	Enter(m *methodRecord)
+	Ops(m *methodRecord, n uint64)
+	LongOps(m *methodRecord, n uint64)
+	Branch(m *methodRecord, site uint64, taken bool)
+	Jump(m *methodRecord)
+	Load(m *methodRecord, addr uint64)
+	Store(m *methodRecord, addr uint64)
+	LoadRange(m *methodRecord, base, stride, n uint64)
+	StoreRange(m *methodRecord, base, stride, n uint64)
+	LoadStore(m *methodRecord, addr uint64)
+	LoadStoreRange(m *methodRecord, base, stride, n uint64)
+	OpsBranch(m *methodRecord, n, site uint64, taken bool)
 }
 
-// New returns a profiler with default options.
-func New() *Profiler { return NewWithOptions(Options{}) }
-
-// NewWithOptions returns a configured profiler.
-func NewWithOptions(opts Options) *Profiler {
-	model := opts.Model
-	if model.IssueWidth == 0 {
-		model = uarch.DefaultModel()
-	}
+// New returns a profiler with the default slot cost model.
+func New() *Profiler {
 	p := &Profiler{
-		model:     model,
+		model:     uarch.DefaultModel(),
+		tour:      uarch.NewTournament(14),
+		mem:       uarch.NewHierarchy(),
+		l1i:       uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
+		itlb:      uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
 		methods:   make(map[string]*methodRecord),
 		started:   time.Now(),
 		lastData:  ^uint64(0),
 		lastFetch: ^uint64(0),
 	}
-	if opts.Reference {
-		p.ref = &refSims{
-			tour: uarch.NewRefTournament(14),
-			mem:  uarch.NewRefHierarchy(),
-			l1i:  uarch.NewRefCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
-			itlb: uarch.NewRefCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
-		}
-		p.memShift = 6
-	} else {
-		p.tour = uarch.NewTournament(14)
-		p.mem = uarch.NewHierarchy()
-		p.l1i = uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64})
-		p.itlb = uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096})
-		p.memShift = p.mem.L1.LineShift()
-	}
+	p.memShift = p.mem.L1.LineShift()
 	p.current = p.method("(toplevel)")
 	return p
-}
-
-// memAccess routes a data access through the modeled (or reference)
-// hierarchy.
-func (p *Profiler) memAccess(addr uint64) (uarch.MemoryResult, bool) {
-	if p.ref != nil {
-		return p.ref.mem.Access(addr)
-	}
-	return p.mem.Access(addr)
-}
-
-// l1iAccess probes the instruction cache.
-func (p *Profiler) l1iAccess(addr uint64) bool {
-	if p.ref != nil {
-		return p.ref.l1i.Access(addr)
-	}
-	return p.l1i.Access(addr)
-}
-
-// itlbAccess probes the instruction TLB.
-func (p *Profiler) itlbAccess(addr uint64) bool {
-	if p.ref != nil {
-		return p.ref.itlb.Access(addr)
-	}
-	return p.itlb.Access(addr)
 }
 
 // Reset restores the profiler to its just-constructed state — cleared
@@ -202,17 +158,10 @@ func (p *Profiler) itlbAccess(addr uint64) bool {
 // retained insertion order because it sorts by (cycles, name) and skips
 // methods that observed no events.
 func (p *Profiler) Reset() {
-	if p.ref != nil {
-		p.ref.tour.Reset()
-		p.ref.mem.Reset()
-		p.ref.l1i.Reset()
-		p.ref.itlb.Reset()
-	} else {
-		p.tour.Reset()
-		p.mem.Reset()
-		p.l1i.Reset()
-		p.itlb.Reset()
-	}
+	p.tour.Reset()
+	p.mem.Reset()
+	p.l1i.Reset()
+	p.itlb.Reset()
 	p.lastData = ^uint64(0)
 	p.lastFetch = ^uint64(0)
 	// Reset leaves sampled mode: each sampled pass is re-entered explicitly
@@ -265,6 +214,9 @@ func (p *Profiler) Enter(name string) {
 	p.stack = append(p.stack, p.current)
 	m := p.method(name)
 	p.current = m
+	if p.mirror != nil {
+		p.mirror.Enter(m)
+	}
 	// A call re-steers fetch to the method entry. It retires no ops (no
 	// interval tick), but it is the strongest phase signal, so it weighs
 	// extra in a profile pass's signature.
@@ -331,18 +283,16 @@ func (p *Profiler) fetch(m *methodRecord, n uint64) {
 		addr := m.codeBase + (start+off)%m.codeSize
 		// A refetch of the line just fetched (a short Ops batch that did
 		// not cross a line boundary) is a guaranteed L1I and ITLB MRU hit
-		// with no state change; skip the probes. The reference path keeps
-		// the original probe-always behaviour.
-		if line := addr >> 6; p.ref == nil {
-			if line == p.lastFetch {
-				continue
-			}
-			p.lastFetch = line
+		// with no state change; skip the probes.
+		line := addr >> 6
+		if line == p.lastFetch {
+			continue
 		}
-		if !p.l1iAccess(addr) {
+		p.lastFetch = line
+		if !p.l1i.Access(addr) {
 			m.icMiss++
 		}
-		if !p.itlbAccess(addr) {
+		if !p.itlb.Access(addr) {
 			m.itlbMiss++
 		}
 	}
@@ -352,6 +302,9 @@ func (p *Profiler) fetch(m *methodRecord, n uint64) {
 // Ops retires n simple micro-ops in the current method.
 func (p *Profiler) Ops(n uint64) {
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.Ops(m, n)
+	}
 	m.ops += n
 	if p.probing(m) {
 		p.fetch(m, n)
@@ -365,6 +318,9 @@ func (p *Profiler) Ops(n uint64) {
 // transcendental kernels) in the current method.
 func (p *Profiler) LongOps(n uint64) {
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.LongOps(m, n)
+	}
 	m.longOps += n
 	if p.probing(m) {
 		p.fetch(m, n)
@@ -374,19 +330,14 @@ func (p *Profiler) LongOps(n uint64) {
 	p.tick(n)
 }
 
-// observe routes a branch to the modeled (or reference) predictor.
-func (p *Profiler) observe(site uint64, taken bool) bool {
-	if p.ref != nil {
-		return p.ref.tour.Observe(site, taken)
-	}
-	return p.tour.Observe(site, taken)
-}
-
 // Branch records a dynamic conditional branch at the given site (any value
 // stable for the static branch) with its actual outcome. The site is
 // combined with the method's code region so sites are globally distinct.
 func (p *Profiler) Branch(site uint64, taken bool) {
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.Branch(m, site, taken)
+	}
 	m.branches++
 	if taken {
 		m.taken++
@@ -394,7 +345,7 @@ func (p *Profiler) Branch(site uint64, taken bool) {
 	m.ops++ // the branch itself retires
 	pc := m.codeBase + site*8
 	if p.probing(m) {
-		if !p.observe(pc, taken) {
+		if !p.tour.Observe(pc, taken) {
 			m.sMispredicts++
 		}
 	} else {
@@ -405,19 +356,32 @@ func (p *Profiler) Branch(site uint64, taken bool) {
 
 // Jump records an unconditional control transfer: it retires one op and
 // redirects fetch (same front-end bubble as a taken branch), but involves
-// no prediction.
+// no prediction. It is the one event method the compiler inlines (its one
+// call site is gcc's VM dispatch loop), so its mirror and sampled-mode hooks
+// sit out of line, behind one combined check.
 func (p *Profiler) Jump() {
-	m := p.current
-	m.ops++
-	m.taken++
-	if p.samp != nil {
-		p.sampAdvance(1)
+	p.current.ops++
+	p.current.taken++
+	if p.samp != nil || p.mirror != nil {
+		p.jumpHooks()
 	}
+}
+
+// jumpHooks mirrors a Jump and retires its op against a sampled pass's
+// interval clock.
+func (p *Profiler) jumpHooks() {
+	if p.mirror != nil {
+		p.mirror.Jump(p.current)
+	}
+	p.tick(1)
 }
 
 // Load records a data load from addr through the modeled hierarchy.
 func (p *Profiler) Load(addr uint64) {
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.Load(m, addr)
+	}
 	m.loads++
 	m.ops++
 	if p.probing(m) {
@@ -431,6 +395,9 @@ func (p *Profiler) Load(addr uint64) {
 // and line fills are modeled.
 func (p *Profiler) Store(addr uint64) {
 	m := p.current
+	if p.mirror != nil {
+		p.mirror.Store(m, addr)
+	}
 	m.stores++
 	m.ops++
 	if p.probing(m) {

@@ -3,8 +3,6 @@ package perf
 import (
 	"math"
 	"testing"
-
-	"repro/internal/uarch"
 )
 
 func TestProfilerBasicAttribution(t *testing.T) {
@@ -192,27 +190,6 @@ func TestProfilerLongOps(t *testing.T) {
 	}
 	if rep.TopDown.BackEnd <= 0 {
 		t.Error("long ops should create back-end pressure")
-	}
-}
-
-func TestProfilerCustomModel(t *testing.T) {
-	m := uarch.DefaultModel()
-	m.MispredictPenalty = 100
-	p := NewWithOptions(Options{Model: m})
-	p.Do("x", func() {
-		for i := 0; i < 1000; i++ {
-			p.Branch(0, i%2 == 0)
-		}
-	})
-	q := New()
-	q.Do("x", func() {
-		for i := 0; i < 1000; i++ {
-			q.Branch(0, i%2 == 0)
-		}
-	})
-	// Same behaviour, harsher penalty → more bad-spec slots.
-	if p.Report().Slots.BadSpec < q.Report().Slots.BadSpec {
-		t.Error("higher penalty should not reduce bad-spec slots")
 	}
 }
 

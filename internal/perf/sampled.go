@@ -215,14 +215,14 @@ type sampState struct {
 func (p *Profiler) Sampled() bool { return p.samp != nil }
 
 // sampleModeError returns why this profiler cannot enter sampled mode, or
-// nil. Sampling does not compose with the reference path, whose simulators
-// have no checkpoint support.
+// nil. Sampling does not compose with an event mirror: the reference path
+// it carries has no checkpoint support.
 func (p *Profiler) sampleModeError() error {
 	switch {
 	case p.samp != nil:
 		return fmt.Errorf("perf: already in a sampled pass")
-	case p.ref != nil:
-		return fmt.Errorf("perf: sampled mode is incompatible with the reference path")
+	case p.mirror != nil:
+		return fmt.Errorf("perf: sampled mode is incompatible with an attached event mirror")
 	}
 	return nil
 }

@@ -210,10 +210,12 @@ func TestSampledProfilePassProbesNothing(t *testing.T) {
 }
 
 func TestSampledModeGuards(t *testing.T) {
-	if err := perf.NewWithOptions(perf.Options{Reference: true}).BeginSampleProfile(1 << 10); err == nil {
-		t.Fatal("reference path must be rejected")
-	}
 	p := perf.New()
+	perf.AttachReference(p)
+	if err := p.BeginSampleProfile(1 << 10); err == nil {
+		t.Fatal("a profiler with a reference attached must be rejected")
+	}
+	p = perf.New()
 	if err := p.BeginSampleProfile(1 << 10); err != nil {
 		t.Fatal(err)
 	}

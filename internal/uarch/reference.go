@@ -1,10 +1,12 @@
 // Reference (pre-optimization) simulator implementations, retained verbatim
 // when the event path was rewritten for speed. They are the ground truth the
-// optimized models are differentially tested against: uarch's tests hold
-// Cache/RefCache and Tournament/RefTournament to identical outputs over
-// randomized streams, and harness's differential test replays every
-// benchmark × workload through both paths asserting bit-identical Reports
-// (perf.Options.Reference selects this path end to end).
+// optimized models are differentially tested against, and only tests reach
+// them, so no binary links them: uarch's tests hold Cache/RefCache and
+// Tournament/RefTournament to identical outputs over randomized streams,
+// and perf's tests drive them as the reference event path mirrored in
+// lockstep with a Profiler (perf.AttachReference, a test-only export), over
+// fuzzed streams and every benchmark × workload, asserting bit-identical
+// Reports.
 //
 // Do not optimize this file. Its value is that it stays the naive, obviously
 // correct model: modulo set selection, parallel lines/valid/lru slices, a

@@ -262,10 +262,15 @@ func TestModelAccountPureCompute(t *testing.T) {
 
 func TestModelAccountMispredicts(t *testing.T) {
 	m := DefaultModel()
-	s := m.Account(Events{Ops: 100, Mispredicts: 10})
-	want := 10 * m.MispredictPenalty * m.IssueWidth
-	if s.BadSpec != want {
-		t.Errorf("badspec slots = %d, want %d", s.BadSpec, want)
+	// The default penalty and a non-default one: Account must read the
+	// model's field, not a constant equal to the default.
+	for _, penalty := range []uint64{m.MispredictPenalty, 100} {
+		m.MispredictPenalty = penalty
+		s := m.Account(Events{Ops: 100, Mispredicts: 10})
+		want := 10 * penalty * m.IssueWidth
+		if s.BadSpec != want {
+			t.Errorf("penalty %d: badspec slots = %d, want %d", penalty, s.BadSpec, want)
+		}
 	}
 }
 
