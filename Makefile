@@ -41,18 +41,24 @@ race:
 # FuzzCacheMatchesReference against the reference cache, perf's
 # FuzzEventsMatchReference against the reference event path attached in
 # lockstep, and report's FuzzReportDecode over envelope bytes.
-# Plain `go test` runs only their seed corpora.
+# Plain `go test` runs only their seed corpora. Go minimizes each input that
+# widens coverage for up to 60 s by default, which would spend a target's
+# whole budget on minimization wherever one execution takes milliseconds;
+# -fuzzminimizetime caps it at one second per input, so the budget goes to
+# fuzzing.
+FUZZ = $(GO) test -run '^$$' -fuzztime 10s -fuzzminimizetime 1s
+
 fuzz-short:
-	$(GO) test -run '^$$' -fuzz '^FuzzExprDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
-	$(GO) test -run '^$$' -fuzz '^FuzzRegexCompiledDifferential$$' -fuzztime 10s ./internal/benchmarks/perlbench/
-	$(GO) test -run '^$$' -fuzz '^FuzzMatchPatternDifferential$$' -fuzztime 10s ./internal/benchmarks/xalan/
-	$(GO) test -run '^$$' -fuzz '^FuzzJobRequest$$' -fuzztime 10s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzSweepRequest$$' -fuzztime 10s ./internal/service/
-	$(GO) test -run '^$$' -fuzz '^FuzzResolveWorkload$$' -fuzztime 10s ./internal/benchmarks/
-	$(GO) test -run '^$$' -fuzz '^FuzzBoardChains$$' -fuzztime 10s ./internal/benchmarks/leela/
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheMatchesReference$$' -fuzztime 10s ./internal/uarch/
-	$(GO) test -run '^$$' -fuzz '^FuzzEventsMatchReference$$' -fuzztime 10s ./internal/perf/
-	$(GO) test -run '^$$' -fuzz '^FuzzReportDecode$$' -fuzztime 10s ./internal/harness/report/
+	$(FUZZ) -fuzz '^FuzzExprDifferential$$' ./internal/benchmarks/perlbench/
+	$(FUZZ) -fuzz '^FuzzRegexCompiledDifferential$$' ./internal/benchmarks/perlbench/
+	$(FUZZ) -fuzz '^FuzzMatchPatternDifferential$$' ./internal/benchmarks/xalan/
+	$(FUZZ) -fuzz '^FuzzJobRequest$$' ./internal/service/
+	$(FUZZ) -fuzz '^FuzzSweepRequest$$' ./internal/service/
+	$(FUZZ) -fuzz '^FuzzResolveWorkload$$' ./internal/benchmarks/
+	$(FUZZ) -fuzz '^FuzzBoardChains$$' ./internal/benchmarks/leela/
+	$(FUZZ) -fuzz '^FuzzCacheMatchesReference$$' ./internal/uarch/
+	$(FUZZ) -fuzz '^FuzzEventsMatchReference$$' ./internal/perf/
+	$(FUZZ) -fuzz '^FuzzReportDecode$$' ./internal/harness/report/
 
 # Regenerate the tracked benchmark baseline: event-path microbenchmarks
 # plus the full-suite wall clock. Slow — it characterizes the whole suite

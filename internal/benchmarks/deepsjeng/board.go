@@ -303,6 +303,25 @@ func (b *Board) kingSquare(white bool) int {
 	return -1
 }
 
+// soleKing returns the given side's king square when that side has exactly
+// one king, and -1 otherwise.
+func (b *Board) soleKing(white bool) int {
+	want := King
+	if !white {
+		want = -King
+	}
+	k := -1
+	for sq, p := range b.Squares {
+		if p == want {
+			if k >= 0 {
+				return -1
+			}
+			k = sq
+		}
+	}
+	return k
+}
+
 // InCheck reports whether the side to move is in check.
 func (b *Board) InCheck() bool {
 	k := b.kingSquare(b.WhiteToMove)

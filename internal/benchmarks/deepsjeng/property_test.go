@@ -2,7 +2,10 @@ package deepsjeng
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestMakeUnmakeRandomWalk plays random legal games, unmaking every move in
@@ -51,5 +54,66 @@ func TestLegalMovesNeverLeaveKingInCheck(t *testing.T) {
 			}
 			b.UnmakeMove(u)
 		}
+	}
+}
+
+// TestGenLegalMatchesKingScan pins genLegal's once-per-call king lookup to
+// LegalMoves, which scans for the mover's king after every pseudo-move. It
+// compares the two move lists on every position of the suite's and of
+// generated workloads, on positions up to twelve random legal plies on from
+// those (so king moves occur), and on positions with no king or two kings
+// for the side to move, where genLegal falls back to the scan.
+func TestGenLegalMatchesKingScan(t *testing.T) {
+	var ws []core.Workload
+	suite, err := New().Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws = append(ws, suite...)
+	for i := 0; i < 4; i++ {
+		w, err := New().GenerateWorkload(7, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	fens := []string{
+		"4k3/8/8/8/8/8/4R3/4K2K b", // two white kings, black to move
+		"4k3/8/8/8/8/8/4r3/K3K3 w", // two white kings, white to move
+		"8/8/8/8/8/8/4r3/4K3 b",    // no black king
+		"4k3/8/8/8/8/8/8/8 w",      // no white king
+	}
+	for _, w := range ws {
+		for _, pos := range w.(Workload).Positions {
+			fens = append(fens, pos.FEN)
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	kingMoves := 0
+	s := NewSearcher(StartPosition(), 4, nil)
+	for _, fen := range fens {
+		b, err := ParseFEN(fen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ply := 0; ply < 12; ply++ {
+			s.Reset(b, nil)
+			got := s.genLegal(0)
+			want := b.LegalMoves()
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s ply %d (%s): genLegal %v, per-move scan %v", fen, ply, b.FEN(), got, want)
+			}
+			if len(want) == 0 {
+				break
+			}
+			m := want[rng.Intn(len(want))]
+			if abs8(b.Squares[m.From]) == int(King) {
+				kingMoves++
+			}
+			b.MakeMove(m)
+		}
+	}
+	if kingMoves == 0 {
+		t.Fatal("no king move was played")
 	}
 }

@@ -183,10 +183,21 @@ func (s *Searcher) genLegal(ply int) []Move {
 		s.p.Ops(uint64(len(pseudo)) * 6)
 		s.p.Load(boardBase + uint64(s.board.hash%65536))
 	}
+	// The mover's king is looked up once: no move adds or removes one of
+	// the mover's kings, so a lone king stays where it is unless it is the
+	// piece that moves. A side without exactly one king keeps the per-move
+	// scan, which finds the lowest-numbered king.
+	king := s.board.soleKing(s.board.WhiteToMove)
 	legal := pseudo[:0]
 	for _, m := range pseudo {
+		k := king
+		if int(m.From) == king {
+			k = int(m.To)
+		}
 		u := s.board.MakeMove(m)
-		k := s.board.kingSquare(!s.board.WhiteToMove)
+		if king < 0 {
+			k = s.board.kingSquare(!s.board.WhiteToMove)
+		}
 		ok := k >= 0 && !s.board.SquareAttacked(k, s.board.WhiteToMove)
 		s.board.UnmakeMove(u)
 		if s.p != nil {

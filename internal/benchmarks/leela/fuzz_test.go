@@ -10,12 +10,15 @@ import (
 // TestLegalScannedMatchesLegal pins the chain-state legality test to the
 // flood-fill oracle: over random game positions, legalVacant must agree
 // with the oracle at every vacant point for both colors (Legal adds only
-// bounds and occupancy checks). The MCTS move scan feeds these verdicts
-// straight into the profiler's branch event stream, so any divergence
-// would change Reports. Sizes 3 and 25 are the edge-heavy and int16-range
-// corners.
+// bounds and occupancy checks), and legalMoves, which walks the kept
+// candidate set, must list the points a scan of every vacant point that is
+// not eye-like finds, in the same order. The MCTS move scan feeds these
+// verdicts straight into the profiler's branch event stream, so any
+// divergence would change Reports. Sizes 3 and 25 are the edge-heavy and
+// int16-range corners.
 func TestLegalScannedMatchesLegal(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	e := &Engine{}
 	for _, tc := range []struct{ size, trials int }{{3, 40}, {5, 40}, {9, 40}, {13, 40}, {25, 4}} {
 		size := tc.size
 		o := newOracle(size)
@@ -43,6 +46,15 @@ func TestLegalScannedMatchesLegal(t *testing.T) {
 							legal = append(legal, p)
 						}
 					}
+				}
+				var scan []int
+				for _, p := range legal {
+					if !o.eyeLike(p, c) {
+						scan = append(scan, p)
+					}
+				}
+				if got := e.legalMoves(b, c, nil); !slices.Equal(got, scan) {
+					t.Fatalf("size %d trial %d move %d: legalMoves = %v, scan %v", size, trial, mv, got, scan)
 				}
 				// Advance with a random legal move.
 				if len(legal) == 0 {
@@ -209,6 +221,9 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		}
 		dst.CopyFrom(src)
 		ref := src.Clone()
+		if mm := chainMismatch(ref, oracleOf(src)); mm != nil {
+			t.Fatalf("move %d: after Clone: %v", mv, mm)
+		}
 		// Chain state must be copied too: a stale head, ring or liberty
 		// count would silently misjudge legality and captures.
 		for _, arr := range []struct {

@@ -69,6 +69,12 @@ type Board struct {
 	next   []int16
 	libs   []int16
 	stones []int16
+	// Neighbor counts and playout candidates, indexed by Color: adj[c][p]
+	// counts p's neighbors of color c, and for Black and White bit p of
+	// cand[c] is set exactly when p is vacant and not eye-like for c (not
+	// all of p's neighbors are c's). setPoint keeps both exact.
+	adj  [3][]uint8
+	cand [3][]uint64
 	// scratch buffers for flood fills (Score, liberty recounts).
 	visited []int32
 	stamp   int32
@@ -100,6 +106,17 @@ func NewBoard(size int) (*Board, error) {
 		nbr:     make([]int16, n*4),
 		nbrN:    make([]uint8, n),
 	}
+	for c := range b.adj {
+		b.adj[c] = make([]uint8, n)
+	}
+	for _, c := range [...]Color{Black, White} {
+		b.cand[c] = make([]uint64, (n+63)/64)
+		// Every point of an empty board is a candidate: it has a neighbor,
+		// and none is occupied.
+		for p := 0; p < n; p++ {
+			b.cand[c][p>>6] |= 1 << (p & 63)
+		}
+	}
 	for p := 0; p < n; p++ {
 		r, c := p/size, p%size
 		k := p * 4
@@ -120,6 +137,7 @@ func NewBoard(size int) (*Board, error) {
 			k++
 		}
 		b.nbrN[p] = uint8(k - p*4)
+		b.adj[Vacant][p] = b.nbrN[p]
 		// Pad edge/corner slots with the point itself so the liberty
 		// recount can iterate a fixed 4 entries: a self entry is occupied
 		// by the chain being counted, so it is never counted as a liberty.
@@ -149,8 +167,9 @@ func (b *Board) nextStamp() {
 }
 
 // legalVacant is Legal without the bounds and occupancy checks, for a
-// vacant point p, decided from the chain state:
-// a vacant neighbor is a liberty of the new stone; an opponent neighbor
+// vacant point p, decided from the kept counts and chain state:
+// a vacant neighbor (adj[Vacant] counts them) is a liberty of the new
+// stone; an opponent neighbor
 // chain with exactly one liberty must have p as that liberty (p is vacant
 // and adjacent), so the move captures; a friendly neighbor chain with a
 // second liberty beyond p keeps the merged chain alive. Otherwise the move
@@ -159,20 +178,18 @@ func (b *Board) legalVacant(p int, c Color) bool {
 	if p == b.koPoint {
 		return false
 	}
-	opp := c.Opponent()
+	if b.adj[Vacant][p] != 0 {
+		return true
+	}
 	k := p * 4
 	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
-		switch b.points[nb] {
-		case Vacant:
+		libs := b.libs[b.head[nb]]
+		if b.points[nb] == c {
+			if libs >= 2 {
+				return true
+			}
+		} else if libs == 1 {
 			return true
-		case opp:
-			if b.libs[b.head[nb]] == 1 {
-				return true
-			}
-		default: // own color
-			if b.libs[b.head[nb]] >= 2 {
-				return true
-			}
 		}
 	}
 	return false
@@ -203,7 +220,7 @@ func (b *Board) Play(p int, c Color) (int, error) {
 		return 0, fmt.Errorf("%w: %s at %d", ErrIllegalMove, c, p)
 	}
 	opp := c.Opponent()
-	b.points[p] = c
+	b.setPoint(p, c)
 	b.head[p], b.next[p], b.stones[p] = int16(p), int16(p), 1
 	// Collect the distinct neighbor chains; p takes one liberty from each
 	// opponent chain, and the largest friendly chain absorbs the rest.
@@ -251,6 +268,37 @@ func (b *Board) Play(p int, c Color) (int, error) {
 		b.koPoint = -1
 	}
 	return captured, nil
+}
+
+// setPoint sets p to col and refreshes the candidate state it touches: its
+// neighbors' counts of the old and new color, their candidate bits for the
+// old and new stone color, and p's own bits.
+func (b *Board) setPoint(p int, col Color) {
+	old := b.points[p]
+	b.points[p] = col
+	k := p * 4
+	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
+		b.adj[old][nb]--
+		b.adj[col][nb]++
+		if old != Vacant {
+			b.refreshCand(int(nb), old)
+		}
+		if col != Vacant {
+			b.refreshCand(int(nb), col)
+		}
+	}
+	b.refreshCand(p, Black)
+	b.refreshCand(p, White)
+}
+
+// refreshCand recomputes p's candidate bit for c.
+func (b *Board) refreshCand(p int, c Color) {
+	w, bit := p>>6, uint64(1)<<(p&63)
+	if b.points[p] == Vacant && b.adj[c][p] < b.nbrN[p] {
+		b.cand[c][w] |= bit
+	} else {
+		b.cand[c][w] &^= bit
+	}
 }
 
 // containsHead reports whether h is among heads.
@@ -306,7 +354,7 @@ func (b *Board) removeChain(h int16) int {
 	col := b.points[h]
 	s := h
 	for {
-		b.points[s] = Vacant
+		b.setPoint(int(s), Vacant)
 		k := int(s) * 4
 		var seen [4]int16
 		nSeen := 0
@@ -332,7 +380,7 @@ func (b *Board) removeChain(h int16) int {
 
 // Clone deep-copies the board.
 func (b *Board) Clone() *Board {
-	return &Board{
+	c := &Board{
 		Size:     b.Size,
 		points:   append([]Color(nil), b.points...),
 		koPoint:  b.koPoint,
@@ -346,6 +394,11 @@ func (b *Board) Clone() *Board {
 		nbr:  b.nbr,
 		nbrN: b.nbrN,
 	}
+	for col := range b.adj {
+		c.adj[col] = append([]uint8(nil), b.adj[col]...)
+		c.cand[col] = append([]uint64(nil), b.cand[col]...)
+	}
+	return c
 }
 
 // CopyFrom resets b to src's position, chain state included, without
@@ -358,6 +411,10 @@ func (b *Board) CopyFrom(src *Board) {
 	copy(b.next, src.next)
 	copy(b.libs, src.libs)
 	copy(b.stones, src.stones)
+	for c := range b.adj {
+		copy(b.adj[c], src.adj[c])
+		copy(b.cand[c], src.cand[c])
+	}
 	b.koPoint = src.koPoint
 	b.captures = src.captures
 }
@@ -409,18 +466,6 @@ func (b *Board) Score() (black, white int) {
 		}
 	}
 	return black, white
-}
-
-// isEyeLike reports whether p is a single-point eye for c (playout move
-// filter: never fill your own eyes).
-func (b *Board) isEyeLike(p int, c Color) bool {
-	k := p * 4
-	for _, nb := range b.nbr[k : k+int(b.nbrN[p])] {
-		if b.points[nb] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // sgfCoords are the letter coordinates of SGF point notation.

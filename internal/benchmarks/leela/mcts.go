@@ -2,6 +2,7 @@ package leela
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/perf"
@@ -62,25 +63,27 @@ func (e *Engine) Reset(seed int64, p *perf.Profiler) {
 	}
 }
 
-// legalMoves lists non-eye-filling legal points (plus pass when none). The
-// per-point legalVacant verdicts, which feed the profiler's branch event
-// stream, read the board's incrementally kept chain state.
+// legalMoves lists non-eye-filling legal points (plus pass when none). It
+// walks the board's kept candidate set (vacant points not eye-like for c)
+// in increasing point order; the per-point legalVacant verdicts, which feed
+// the profiler's branch event stream, read the board's incrementally kept
+// chain state.
 func (e *Engine) legalMoves(b *Board, c Color, buf []int) []int {
 	buf = buf[:0]
-	for p := 0; p < b.Size*b.Size; p++ {
-		if b.points[p] != Vacant || b.isEyeLike(p, c) {
-			continue
-		}
-		legal := b.legalVacant(p, c)
-		if e.p != nil {
-			// Fused ops+branch, then the load: the three event channels are
-			// independent, so hoisting the branch past the load is
-			// Report-invariant (DESIGN.md §10).
-			e.p.OpsBranch(3, 200+uint64(p), legal)
-			e.p.Load(boardAddr + uint64(p)*2)
-		}
-		if legal {
-			buf = append(buf, p)
+	for w, word := range b.cand[c] {
+		for ; word != 0; word &= word - 1 {
+			p := w<<6 + bits.TrailingZeros64(word)
+			legal := b.legalVacant(p, c)
+			if e.p != nil {
+				// Fused ops+branch, then the load: the three event channels
+				// are independent, so hoisting the branch past the load is
+				// Report-invariant (DESIGN.md §10).
+				e.p.OpsBranch(3, 200+uint64(p), legal)
+				e.p.Load(boardAddr + uint64(p)*2)
+			}
+			if legal {
+				buf = append(buf, p)
+			}
 		}
 	}
 	return buf

@@ -166,10 +166,56 @@ func (o *oracle) play(p int, c Color) (int, error) {
 	return captured, nil
 }
 
+// eyeLike reports whether p is a single-point eye for c: every neighbor is
+// c's (the playout move filter never fills one).
+func (o *oracle) eyeLike(p int, c Color) bool {
+	for _, nb := range o.nbrs[p] {
+		if o.points[nb] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// candMismatch compares b's kept neighbor counts and playout candidates
+// with a scan of the oracle's points: adj[c][p] counts p's neighbors of
+// color c, and for Black and White bit p of cand[c] is set exactly when p
+// is vacant and not eye-like for c, with no bit set past the last point.
+func candMismatch(b *Board, o *oracle) error {
+	for _, c := range []Color{Vacant, Black, White} {
+		for p, nbs := range o.nbrs {
+			n := 0
+			for _, nb := range nbs {
+				if o.points[nb] == c {
+					n++
+				}
+			}
+			if int(b.adj[c][p]) != n {
+				return fmt.Errorf("point %d: %d %s neighbors kept, %d on the board", p, b.adj[c][p], c, n)
+			}
+		}
+		if c == Vacant {
+			continue
+		}
+		if len(b.cand[c]) != (len(o.points)+63)/64 {
+			return fmt.Errorf("%s: %d candidate words for %d points", c, len(b.cand[c]), len(o.points))
+		}
+		for p := 0; p < 64*len(b.cand[c]); p++ {
+			got := b.cand[c][p>>6]>>(p&63)&1 == 1
+			want := p < len(o.points) && o.points[p] == Vacant && !o.eyeLike(p, c)
+			if got != want {
+				return fmt.Errorf("%s candidate bit %d: board %v, scan %v", c, p, got, want)
+			}
+		}
+	}
+	return nil
+}
+
 // chainMismatch compares b's position and chain state with the oracle's:
 // points, ko point and captures; stones share a head exactly when the
 // oracle groups them together; each head's liberty and stone counts equal
-// the oracle's; and each head's ring visits exactly its chain's stones.
+// the oracle's; each head's ring visits exactly its chain's stones; and the
+// playout candidates match a scan (see candMismatch).
 func chainMismatch(b *Board, o *oracle) error {
 	for p := range o.points {
 		if b.points[p] != o.points[p] {
@@ -223,7 +269,7 @@ func chainMismatch(b *Board, o *oracle) error {
 			return fmt.Errorf("head %d: ring visits %d stones, chain has %d", h, n, stones[g])
 		}
 	}
-	return nil
+	return candMismatch(b, o)
 }
 
 // playBoth applies one move to the board and the oracle and requires the

@@ -87,9 +87,12 @@ type Profiler struct {
 	// instruction probe. A repeat of the last probed line is a guaranteed
 	// MRU hit at every level — probing it neither changes simulator state
 	// nor any Report counter — so the probe is skipped entirely (see
-	// DESIGN.md). Sentinel ^0 means "nothing probed yet".
-	lastData  uint64
-	lastFetch uint64
+	// DESIGN.md). lastFetchPage is the same memo one level up: the page of
+	// the most recent ITLB probe, which only fetch makes. Sentinel ^0 means
+	// "nothing probed yet".
+	lastData      uint64
+	lastFetch     uint64
+	lastFetchPage uint64
 
 	methods map[string]*methodRecord
 	order   []string
@@ -129,15 +132,16 @@ type eventMirror interface {
 // New returns a profiler with the default slot cost model.
 func New() *Profiler {
 	p := &Profiler{
-		model:     uarch.DefaultModel(),
-		tour:      uarch.NewTournament(14),
-		mem:       uarch.NewHierarchy(),
-		l1i:       uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
-		itlb:      uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
-		methods:   make(map[string]*methodRecord),
-		started:   time.Now(),
-		lastData:  ^uint64(0),
-		lastFetch: ^uint64(0),
+		model:         uarch.DefaultModel(),
+		tour:          uarch.NewTournament(14),
+		mem:           uarch.NewHierarchy(),
+		l1i:           uarch.NewCache(uarch.CacheConfig{Name: "L1I", SizeB: 32 << 10, Ways: 8, LineSize: 64}),
+		itlb:          uarch.NewCache(uarch.CacheConfig{Name: "ITLB", SizeB: 128 * 4096, Ways: 4, LineSize: 4096}),
+		methods:       make(map[string]*methodRecord),
+		started:       time.Now(),
+		lastData:      ^uint64(0),
+		lastFetch:     ^uint64(0),
+		lastFetchPage: ^uint64(0),
 	}
 	p.memShift = p.mem.L1.LineShift()
 	p.current = p.method("(toplevel)")
@@ -164,6 +168,7 @@ func (p *Profiler) Reset() {
 	p.itlb.Reset()
 	p.lastData = ^uint64(0)
 	p.lastFetch = ^uint64(0)
+	p.lastFetchPage = ^uint64(0)
 	// Reset leaves sampled mode: each sampled pass is re-entered explicitly
 	// on a Reset profiler via BeginSampleProfile/BeginSampleMeasure.
 	p.samp = nil
@@ -200,12 +205,16 @@ func (p *Profiler) method(name string) *methodRecord {
 }
 
 // SetFootprint declares the synthetic code size, in bytes, of a method. It
-// may be called before or after the method first runs.
+// may be called before or after the method first runs. The fetch offset is
+// reduced modulo the new size, which keeps fetch's walk on the same lines:
+// the walk is modular in the footprint.
 func (p *Profiler) SetFootprint(name string, bytes uint64) {
 	if bytes < 64 {
 		bytes = 64
 	}
-	p.method(name).codeSize = bytes &^ 0x3f
+	m := p.method(name)
+	m.codeSize = bytes &^ 0x3f
+	m.fetchOff %= m.codeSize
 }
 
 // Enter pushes method name onto the region stack. Events observed until the
@@ -271,16 +280,14 @@ func (p *Profiler) tick(n uint64) {
 // fetch advances the current method's instruction-fetch pointer by n ops and
 // touches the instruction cache/TLB for every 64-byte line crossed.
 func (p *Profiler) fetch(m *methodRecord, n uint64) {
-	bytes := n * opBytes
-	// Walk at line granularity; bound the walk so a huge Ops batch in a
-	// small method costs one pass over its footprint (the loop body is
-	// resident after that).
-	if bytes > m.codeSize*2 {
-		bytes = m.codeSize * 2
-	}
-	start := m.fetchOff
-	for off := uint64(0); off < bytes; off += 64 {
-		addr := m.codeBase + (start+off)%m.codeSize
+	bytes := fetchBytes(m, n)
+	// off is the walk's offset into the footprint; it stays below codeSize,
+	// and codeSize is a multiple of 64 of at least 64, so each step wraps
+	// with at most one subtraction.
+	off := m.fetchOff
+	for done := uint64(0); done < bytes; done += 64 {
+		addr := m.codeBase + off
+		off = wrapFetch(off+64, m.codeSize)
 		// A refetch of the line just fetched (a short Ops batch that did
 		// not cross a line boundary) is a guaranteed L1I and ITLB MRU hit
 		// with no state change; skip the probes.
@@ -292,11 +299,44 @@ func (p *Profiler) fetch(m *methodRecord, n uint64) {
 		if !p.l1i.Access(addr) {
 			m.icMiss++
 		}
-		if !p.itlb.Access(addr) {
-			m.itlbMiss++
+		// Likewise a new line on the page of the last ITLB probe: nothing
+		// else probes the ITLB, so that page is still its set's MRU entry.
+		if page := addr >> itlbPageShift; page != p.lastFetchPage {
+			p.lastFetchPage = page
+			if !p.itlb.Access(addr) {
+				m.itlbMiss++
+			}
 		}
 	}
-	m.fetchOff = (start + bytes) % m.codeSize
+	m.fetchOff = wrapFetch(m.fetchOff+bytes, m.codeSize)
+}
+
+// itlbPageShift is log2 of the modeled ITLB's 4 KiB page, its line size.
+const itlbPageShift = 12
+
+// fetchBytes is the length of the fetch walk for n ops in m. The walk is
+// bounded so a huge Ops batch in a small method costs one pass over its
+// footprint (the loop body is resident after that); the bound, 2·codeSize,
+// is what lets wrapFetch stand in for a modulo.
+func fetchBytes(m *methodRecord, n uint64) uint64 {
+	bytes := n * opBytes
+	if bytes > m.codeSize*2 {
+		bytes = m.codeSize * 2
+	}
+	return bytes
+}
+
+// wrapFetch reduces a fetch offset x < 3·size modulo size. fetchOff stays
+// below codeSize and a walk adds at most 2·codeSize, so two conditional
+// subtractions replace the division.
+func wrapFetch(x, size uint64) uint64 {
+	if x >= size {
+		x -= size
+	}
+	if x >= size {
+		x -= size
+	}
+	return x
 }
 
 // Ops retires n simple micro-ops in the current method.

@@ -152,12 +152,13 @@ func (pl *SamplePlan) restorePoints() []int {
 // simulator channels plus the same-line coalescing memos (a memo mismatch
 // would suppress or admit the first probe after a restore).
 type simCheckpoint struct {
-	mem       *uarch.HierarchyState
-	l1i       *uarch.CacheState
-	itlb      *uarch.CacheState
-	tour      *uarch.TournamentState
-	lastData  uint64
-	lastFetch uint64
+	mem           *uarch.HierarchyState
+	l1i           *uarch.CacheState
+	itlb          *uarch.CacheState
+	tour          *uarch.TournamentState
+	lastData      uint64
+	lastFetch     uint64
+	lastFetchPage uint64
 }
 
 // SampleCheckpoints carries the warm pass's boundary snapshots to the
@@ -370,12 +371,13 @@ func (p *Profiler) sampBoundary() {
 // checkpointSims snapshots every probe-visible piece of simulator state.
 func (p *Profiler) checkpointSims() *simCheckpoint {
 	return &simCheckpoint{
-		mem:       p.mem.Checkpoint(),
-		l1i:       p.l1i.Checkpoint(),
-		itlb:      p.itlb.Checkpoint(),
-		tour:      p.tour.Checkpoint(),
-		lastData:  p.lastData,
-		lastFetch: p.lastFetch,
+		mem:           p.mem.Checkpoint(),
+		l1i:           p.l1i.Checkpoint(),
+		itlb:          p.itlb.Checkpoint(),
+		tour:          p.tour.Checkpoint(),
+		lastData:      p.lastData,
+		lastFetch:     p.lastFetch,
+		lastFetchPage: p.lastFetchPage,
 	}
 }
 
@@ -387,6 +389,7 @@ func (p *Profiler) restoreSims(ck *simCheckpoint) {
 	p.tour.Restore(ck.tour)
 	p.lastData = ck.lastData
 	p.lastFetch = ck.lastFetch
+	p.lastFetchPage = ck.lastFetchPage
 }
 
 // touch records m's probe counts as its fold base the first time m is
@@ -431,9 +434,5 @@ func (s *sampState) sign(x uint64, w uint32) {
 // interval or a profile pass, so a later live interval resumes at the same code offset the
 // exact path would be at.
 func advanceFetch(m *methodRecord, n uint64) {
-	bytes := n * opBytes
-	if bytes > m.codeSize*2 {
-		bytes = m.codeSize * 2
-	}
-	m.fetchOff = (m.fetchOff + bytes) % m.codeSize
+	m.fetchOff = wrapFetch(m.fetchOff+fetchBytes(m, n), m.codeSize)
 }
