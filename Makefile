@@ -1,12 +1,17 @@
 GO ?= go
 
-.PHONY: build vet lint lint-sarif leak-race test race fuzz-short bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
+.PHONY: build vet fmt lint lint-sarif leak-race test race fuzz-short bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: lists every file gofmt would rewrite and fails if there
+# is one.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Determinism & harness-invariant static analysis (see DESIGN.md §14).
 # Exit 1 covers findings from both rule families AND stale //lint:allow
@@ -112,4 +117,4 @@ serve-smoke:
 sweep-smoke:
 	./scripts/sweep-smoke.sh
 
-check: build vet lint race
+check: build vet fmt lint race

@@ -8,13 +8,15 @@
 // fan-out — albertad's jobs and sweeps run their cells on it too — and
 // runWorkload, through which every local measurement passes, is the one
 // place a panicking benchmark is recovered into that cell's error.
-// RunSuite, RunBenchmark and RunWorkload are thin convenience wrappers
-// over the Runner.
+// Its repetition loop is the one loop that runs measured passes, exact and
+// sampled; SampledDiff composes the same sampled prelude and pass helper
+// with one exact pass. RunSuite and RunWorkload are thin convenience
+// wrappers over the Runner and runWorkload.
 //
 // Result data types live in the internal/harness/report package, which
 // defines the versioned JSON envelope (report.Suite, schema_version 2)
 // shared by every result frontend. This package exports only the run
-// surface — Options, Runner, ForEach, RunSuite/RunBenchmark/RunWorkload
+// surface — Options, Runner, ForEach, RunSuite/RunWorkload, SampledDiff
 // and the progress Event contract; the historical aliases over report types were
 // removed after their one-release deprecation window.
 package harness
@@ -160,65 +162,105 @@ var errPanic = errors.New("panic")
 // workers recycle one profiler each across all their cells through it, so
 // a whole suite run constructs Workers profilers instead of one per cell.
 //
+// Its repetition loop is the one place measured passes run and are checked
+// against each other. An exact cell runs opts.Reps plain passes. A sampled
+// cell counts its prelude's profile and warm passes among opts.Reps
+// (samplePrelude) and then runs max(1, Reps-2) measure passes, which
+// restore checkpoints at dead→live edges and fully simulate only the plan's
+// live intervals. WallSeconds is the mean over the loop's passes
+// alone — for a sampled cell the steady-state cost of one more sampled
+// measurement, which is the number the speedup claims are about.
+//
 // A panic in prepare or execute is recovered into an error wrapping
 // errPanic that names the cell and carries the stack: every local
 // execution — the Runner's and albertad's — passes through here, so one
 // bad cell fails only itself.
 func runWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Options, p *perf.Profiler) (m report.Measurement, err error) {
+	name := b.Name() + "/" + w.WorkloadName()
 	defer func() {
 		if r := recover(); r != nil {
-			m, err = report.Measurement{}, fmt.Errorf("harness: %s/%s: %w: %v\n%s", b.Name(), w.WorkloadName(), errPanic, r, debug.Stack())
+			m, err = report.Measurement{}, fmt.Errorf("harness: %s: %w: %v\n%s", name, errPanic, r, debug.Stack())
 		}
 	}()
 	pw, err := b.Prepare(w)
 	if err != nil {
-		return report.Measurement{}, fmt.Errorf("harness: %s/%s: prepare: %w", b.Name(), w.WorkloadName(), err)
+		return report.Measurement{}, fmt.Errorf("harness: %s: prepare: %w", name, err)
 	}
+	var s *samplePlan
+	passes := opts.Reps
 	if opts.Sampled {
-		return runWorkloadSampled(ctx, b, w, opts, p, pw)
+		if s, err = samplePrelude(ctx, name, pw, p, opts); err != nil {
+			return report.Measurement{}, err
+		}
+		passes = max(1, opts.Reps-2)
+		m.Checksum = s.checksum
 	}
-	// One profiler serves all repetitions: Reset recycles the
-	// just-constructed state — clearing method records and simulators in
-	// place — without reallocating the multi-megabyte modeled hierarchy,
-	// and reuse does not weaken the determinism check below: a Reset
-	// profiler must reproduce the first rep's Report exactly, which perf's
-	// own tests assert.
-	for rep := 0; rep < opts.Reps; rep++ {
+	// One profiler serves all passes: Reset recycles the just-constructed
+	// state — clearing method records and simulators in place — without
+	// reallocating the multi-megabyte modeled hierarchy, and reuse does not
+	// weaken the determinism check below: a Reset profiler must reproduce
+	// the first pass's Report exactly, which perf's own tests assert. Each
+	// pass's checksum must equal the one before it, a sampled prelude's
+	// included, and each Report the first pass's.
+	for rep := 0; rep < passes; rep++ {
 		if err := ctx.Err(); err != nil {
 			return report.Measurement{}, err
 		}
 		if rep > 0 {
 			p.Reset()
 		}
-		start := time.Now()
-		res, err := pw.Execute(p)
+		ps, err := measurePass(p, pw, s)
 		if err != nil {
-			return report.Measurement{}, fmt.Errorf("harness: %s/%s rep %d: %w", b.Name(), w.WorkloadName(), rep, err)
+			return report.Measurement{}, fmt.Errorf("harness: %s rep %d: %w", name, rep, err)
 		}
-		wall := time.Since(start).Seconds()
-		rpt := p.Report()
+		if (rep > 0 || s != nil) && ps.res.Checksum != m.Checksum {
+			return report.Measurement{}, fmt.Errorf("harness: %s: nondeterministic checksum across passes", name)
+		}
 		if rep == 0 {
 			m = report.Measurement{
 				Benchmark: b.Name(),
 				Workload:  w.WorkloadName(),
 				Kind:      w.WorkloadKind(),
-				Checksum:  res.Checksum,
-				TopDown:   rpt.TopDown,
-				Coverage:  rpt.Coverage,
-				Cycles:    rpt.Cycles,
+				Checksum:  ps.res.Checksum,
+				TopDown:   ps.rpt.TopDown,
+				Coverage:  ps.rpt.Coverage,
+				Cycles:    ps.rpt.Cycles,
+				Sampled:   s != nil,
 			}
-			m.ModeledSeconds = perf.ModeledSeconds(rpt.Cycles)
-		} else if m.Checksum != res.Checksum {
-			return report.Measurement{}, fmt.Errorf("harness: %s/%s: nondeterministic checksum across repetitions",
-				b.Name(), w.WorkloadName())
-		} else if m.Cycles != rpt.Cycles || m.TopDown != rpt.TopDown {
-			return report.Measurement{}, fmt.Errorf("harness: %s/%s: nondeterministic profile across repetitions",
-				b.Name(), w.WorkloadName())
+			m.ModeledSeconds = perf.ModeledSeconds(ps.rpt.Cycles)
+		} else if m.Cycles != ps.rpt.Cycles || m.TopDown != ps.rpt.TopDown {
+			return report.Measurement{}, fmt.Errorf("harness: %s: nondeterministic profile across passes", name)
 		}
-		m.WallSeconds += wall
+		m.WallSeconds += ps.wall
 	}
-	m.WallSeconds /= float64(opts.Reps)
+	m.WallSeconds /= float64(passes)
 	return m, nil
+}
+
+// pass is one measured execution: its result, its Report, and the wall
+// seconds of the Execute call alone.
+type pass struct {
+	res  core.Result
+	rpt  perf.Report
+	wall float64
+}
+
+// measurePass runs one measured pass of pw on p, which must be fresh or
+// Reset: a plain exact pass when s is nil, else a sampled measure pass over
+// s's plan and checkpoints.
+func measurePass(p *perf.Profiler, pw core.PreparedWorkload, s *samplePlan) (pass, error) {
+	if s != nil {
+		if err := p.BeginSampleMeasure(s.plan, s.ckpts); err != nil {
+			return pass{}, err
+		}
+	}
+	start := time.Now()
+	res, err := pw.Execute(p)
+	if err != nil {
+		return pass{}, err
+	}
+	wall := time.Since(start).Seconds()
+	return pass{res: res, rpt: p.Report(), wall: wall}, nil
 }
 
 // measurementInventory returns b's workloads under the Options' test-input
@@ -235,20 +277,6 @@ func measurementInventory(b core.Benchmark, opts Options) ([]core.Workload, erro
 		return nil, fmt.Errorf("harness: %s: %w", b.Name(), err)
 	}
 	return ws, nil
-}
-
-// RunBenchmark measures every (measurement) workload of b. It is a thin
-// wrapper over a single-benchmark Runner.
-func RunBenchmark(ctx context.Context, b core.Benchmark, opts Options) ([]report.Measurement, error) {
-	s, err := core.NewSuite(b)
-	if err != nil {
-		return nil, err
-	}
-	res, err := NewRunner(s, opts).Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return res[b.Name()], nil
 }
 
 // RunSuite measures every benchmark of the suite. It is a thin wrapper

@@ -76,12 +76,24 @@ func TestRunWorkloadRepetitionsAgree(t *testing.T) {
 	}
 }
 
-func TestRunBenchmarkExcludesTestByDefault(t *testing.T) {
-	b := &quickBench{name: "900.quick_r"}
-	ms, err := RunBenchmark(context.Background(), b, quickOpts())
+// runOneBenchmark measures every workload of b through a Runner over a
+// one-benchmark suite.
+func runOneBenchmark(t *testing.T, b core.Benchmark, opts Options) []report.Measurement {
+	t.Helper()
+	s, err := core.NewSuite(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := NewRunner(s, opts).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[b.Name()]
+}
+
+func TestRunBenchmarkExcludesTestByDefault(t *testing.T) {
+	b := &quickBench{name: "900.quick_r"}
+	ms := runOneBenchmark(t, b, quickOpts())
 	if len(ms) != 4 {
 		t.Fatalf("measurements = %d, want 4 (test excluded)", len(ms))
 	}
@@ -92,10 +104,7 @@ func TestRunBenchmarkExcludesTestByDefault(t *testing.T) {
 	}
 	withTest := quickOpts()
 	withTest.IncludeTest = true
-	ms, err = RunBenchmark(context.Background(), b, withTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms = runOneBenchmark(t, b, withTest)
 	if len(ms) != 5 {
 		t.Errorf("with test: %d, want 5", len(ms))
 	}
@@ -248,10 +257,7 @@ func TestRealBenchmarkThroughHarness(t *testing.T) {
 
 func TestBenchmarkReport(t *testing.T) {
 	b := &quickBench{name: "900.quick_r"}
-	ms, err := RunBenchmark(context.Background(), b, quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := runOneBenchmark(t, b, quickOpts())
 	text := report.BenchmarkReport(b.Name(), ms)
 	for _, want := range []string{
 		"Benchmark report: 900.quick_r",

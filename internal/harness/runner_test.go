@@ -315,15 +315,58 @@ func (z *zeroChecksumBench) run(w core.Workload, p *perf.Profiler) (core.Result,
 		Kind: w.WorkloadKind(), Checksum: sum}, nil
 }
 
+// TestRunWorkloadDetectsNondeterminismAfterZeroChecksum runs the fault as
+// an exact cell and as a sampled one, whose profile pass returns checksum 0
+// and whose warm pass returns 1.
 func TestRunWorkloadDetectsNondeterminismAfterZeroChecksum(t *testing.T) {
-	b := &zeroChecksumBench{}
-	w, err := core.FindWorkload(b, "refrate")
-	if err != nil {
-		t.Fatal(err)
+	for _, opts := range []Options{{Reps: 3}, {Reps: 3, Sampled: true}} {
+		b := &zeroChecksumBench{}
+		w, err := core.FindWorkload(b, "refrate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunWorkload(context.Background(), b, w, opts)
+		if err == nil || !strings.Contains(err.Error(), "nondeterministic checksum") {
+			t.Errorf("sampled=%v: expected nondeterminism error, got %v", opts.Sampled, err)
+		}
 	}
-	_, err = RunWorkload(context.Background(), b, w, Options{Reps: 3})
-	if err == nil || !strings.Contains(err.Error(), "nondeterministic checksum") {
-		t.Fatalf("expected nondeterminism error, got %v", err)
+}
+
+// growingBench returns the same checksum on every execution but retires k
+// extra ops on its k-th: an identical result from a different event
+// stream, which only the comparison of Reports across passes can catch.
+type growingBench struct {
+	runs atomic.Int64
+}
+
+func (g *growingBench) Name() string { return "951.grow_r" }
+func (g *growingBench) Area() string { return "testing" }
+func (g *growingBench) Workloads() ([]core.Workload, error) {
+	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
+}
+func (g *growingBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	return execFunc(func(p *perf.Profiler) (core.Result, error) {
+		k := uint64(g.runs.Add(1))
+		p.Do("grow", func() { p.Ops(1000 + k) })
+		return core.Result{Benchmark: g.Name(), Workload: w.WorkloadName(),
+			Kind: w.WorkloadKind(), Checksum: 7}, nil
+	}), nil
+}
+
+// TestRunWorkloadDetectsNondeterministicProfile: an exact cell compares
+// every repetition's Report with the first, and a sampled cell compares its
+// measure passes (Reps 4 runs two) the same way.
+func TestRunWorkloadDetectsNondeterministicProfile(t *testing.T) {
+	for _, opts := range []Options{{Reps: 3}, {Reps: 4, Sampled: true}} {
+		b := &growingBench{}
+		w, err := core.FindWorkload(b, "refrate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = RunWorkload(context.Background(), b, w, opts)
+		if err == nil || !strings.Contains(err.Error(), "nondeterministic profile") {
+			t.Errorf("sampled=%v: expected nondeterministic profile error, got %v", opts.Sampled, err)
+		}
 	}
 }
 

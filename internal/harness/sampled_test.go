@@ -80,26 +80,8 @@ func TestSampledWithinTolerance(t *testing.T) {
 // pipeline's determinism at the harness level: signatures, clustering,
 // checkpoints and extrapolated folds.
 func TestSampledRunsBitIdentical(t *testing.T) {
-	suite, err := benchmarks.Suite()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	b := suite.Benchmarks()[0]
-	ws, err := b.Workloads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var w core.Workload
-	for _, cand := range ws {
-		if cand.WorkloadKind() == core.KindTrain {
-			w = cand
-			break
-		}
-	}
-	if w == nil {
-		t.Fatalf("%s has no train workload", b.Name())
-	}
+	b, w := trainCell(t, "500.perlbench_r")
 	opts := Options{Reps: 1, Sampled: true}
 	m1, err := RunWorkload(ctx, b, w, opts)
 	if err != nil {
@@ -115,6 +97,79 @@ func TestSampledRunsBitIdentical(t *testing.T) {
 	m1.WallSeconds, m2.WallSeconds = 0, 0
 	if !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("two sampled runs diverged:\nfirst  %+v\nsecond %+v", m1, m2)
+	}
+}
+
+// trainCell returns the named suite benchmark and its train workload.
+func trainCell(t *testing.T, name string) (core.Benchmark, core.Workload) {
+	t.Helper()
+	suite, err := benchmarks.Suite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, ok := suite.Lookup(name)
+	if !ok {
+		t.Fatalf("no benchmark %s", name)
+	}
+	ws, err := b.Workloads()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range ws {
+		if w.WorkloadKind() == core.KindTrain {
+			return b, w
+		}
+	}
+	t.Fatalf("%s has no train workload", name)
+	return nil, nil
+}
+
+// TestSampledDiffAgreesWithRunWorkload: SampledDiff's two Reports must
+// equal the exact and the sampled harness Measurements of the same cell on
+// every modeled field, so the comparison validates the measurements the
+// harness actually reports.
+func TestSampledDiffAgreesWithRunWorkload(t *testing.T) {
+	ctx := context.Background()
+	b, w := trainCell(t, "500.perlbench_r")
+	c, err := SampledDiff(ctx, b, w, Options{Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		opts Options
+		rpt  perf.Report
+	}{
+		{Options{Reps: 1}, c.Exact},
+		{Options{Reps: 1, Sampled: true}, c.Sampled},
+	} {
+		m, err := RunWorkload(ctx, b, w, side.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Cycles != side.rpt.Cycles || m.TopDown != side.rpt.TopDown || !reflect.DeepEqual(m.Coverage, side.rpt.Coverage) {
+			t.Errorf("sampled=%v: RunWorkload and SampledDiff disagree:\nmeasurement cycles %d topdown %+v coverage %v\nreport      cycles %d topdown %+v coverage %v",
+				side.opts.Sampled, m.Cycles, m.TopDown, m.Coverage, side.rpt.Cycles, side.rpt.TopDown, side.rpt.Coverage)
+		}
+	}
+}
+
+// TestSampledDiffKeepsExactMethods: the exact Report's method profiles
+// must survive the sampled passes that follow it on the same profiler,
+// whose Report recycles the Methods buffer. mcf's train cell has a
+// clustered plan, so its sampled method profiles differ from the exact
+// ones.
+func TestSampledDiffKeepsExactMethods(t *testing.T) {
+	b, w := trainCell(t, "505.mcf_r")
+	c, err := SampledDiff(context.Background(), b, w, Options{Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := perf.New()
+	if _, err := core.Run(b, w, p); err != nil {
+		t.Fatal(err)
+	}
+	if want := p.Report().Methods; !reflect.DeepEqual(c.Exact.Methods, want) {
+		t.Errorf("SampledDiff's exact method profiles differ from a cold exact run's:\ngot  %+v\nwant %+v", c.Exact.Methods, want)
 	}
 }
 

@@ -212,9 +212,6 @@ type sampState struct {
 	touched []*methodRecord
 }
 
-// Sampled reports whether the profiler is currently in a sampled pass.
-func (p *Profiler) Sampled() bool { return p.samp != nil }
-
 // sampleModeError returns why this profiler cannot enter sampled mode, or
 // nil. Sampling does not compose with an event mirror: the reference path
 // it carries has no checkpoint support.
