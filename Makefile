@@ -37,12 +37,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of coverage-guided fuzzing for each of the ten Fuzz targets
+# Ten seconds of coverage-guided fuzzing for each of the eleven Fuzz targets
 # (go test fuzzes one target per invocation): perlbench's
 # FuzzExprDifferential and FuzzRegexCompiledDifferential, xalan's
 # FuzzMatchPatternDifferential, the service's FuzzJobRequest and
 # FuzzSweepRequest, FuzzResolveWorkload over the real suite's provenance
-# names, leela's FuzzBoardChains against a flood-fill oracle, uarch's
+# names, FuzzGenerateWorkload over every generator's (seed, index) domain,
+# leela's FuzzBoardChains against a flood-fill oracle, uarch's
 # FuzzCacheMatchesReference against the reference cache, perf's
 # FuzzEventsMatchReference against the reference event path attached in
 # lockstep, and report's FuzzReportDecode over envelope bytes.
@@ -60,6 +61,7 @@ fuzz-short:
 	$(FUZZ) -fuzz '^FuzzJobRequest$$' ./internal/service/
 	$(FUZZ) -fuzz '^FuzzSweepRequest$$' ./internal/service/
 	$(FUZZ) -fuzz '^FuzzResolveWorkload$$' ./internal/benchmarks/
+	$(FUZZ) -fuzz '^FuzzGenerateWorkload$$' ./internal/benchmarks/
 	$(FUZZ) -fuzz '^FuzzBoardChains$$' ./internal/benchmarks/leela/
 	$(FUZZ) -fuzz '^FuzzCacheMatchesReference$$' ./internal/uarch/
 	$(FUZZ) -fuzz '^FuzzEventsMatchReference$$' ./internal/perf/
@@ -87,7 +89,7 @@ bench-budget:
 # One-iteration pass over every go-test benchmark; catches bit-rot without
 # the cost of a real measurement.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x ./internal/perf/ .
+	$(GO) test -bench=. -benchtime=1x ./internal/perf/ ./internal/service/ .
 
 # Full differential sweep: every benchmark × every workload, optimized
 # profiler vs the test-only reference path attached in lockstep (perf) AND

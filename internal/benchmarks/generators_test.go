@@ -11,7 +11,7 @@ import (
 
 // generatorBenchmarks returns every generator-capable benchmark of the
 // full suite (all but perlbench, matching the paper).
-func generatorBenchmarks(t *testing.T) []core.Benchmark {
+func generatorBenchmarks(t testing.TB) []core.Benchmark {
 	t.Helper()
 	suite, err := Suite()
 	if err != nil {
@@ -278,6 +278,41 @@ func FuzzResolveWorkload(f *testing.F) {
 		}
 		if !reflect.DeepEqual(w, want) {
 			t.Fatalf("%s: %q resolved to a workload other than GenerateWorkload(%d, %d)", b.Name(), name, seed, index)
+		}
+	})
+}
+
+// FuzzGenerateWorkload drives every generator over its whole domain,
+// 0 <= seed <= MaxGeneratedSeed and 0 <= index <= MaxGeneratedIndex: a
+// (seed, index) from a worker's cell request reaches a generator through
+// its flight leader's resolution. Workload index of seed must generate
+// without panicking, carry its provenance name and KindAlberta, and come
+// out identical from a second call.
+func FuzzGenerateWorkload(f *testing.F) {
+	bs := generatorBenchmarks(f)
+	for i := range bs {
+		f.Add(uint8(i), uint32(0), uint32(0))
+		f.Add(uint8(i), uint32(1), uint32(15))
+		f.Add(uint8(i), uint32(core.MaxGeneratedSeed), uint32(core.MaxGeneratedIndex))
+	}
+	f.Fuzz(func(t *testing.T, benchIndex uint8, seed32, index32 uint32) {
+		b := bs[int(benchIndex)%len(bs)]
+		seed, index := int64(seed32), int(index32&core.MaxGeneratedIndex)
+		gen := b.(core.Generator)
+		w, err := gen.GenerateWorkload(seed, index)
+		if err != nil {
+			t.Fatalf("%s: GenerateWorkload(%d, %d): %v", b.Name(), seed, index, err)
+		}
+		if want := core.GeneratedName(seed, index); w.WorkloadName() != want || w.WorkloadKind() != core.KindAlberta {
+			t.Fatalf("%s: workload (%d, %d) is %q of kind %v, want %q of kind alberta",
+				b.Name(), seed, index, w.WorkloadName(), w.WorkloadKind(), want)
+		}
+		again, err := gen.GenerateWorkload(seed, index)
+		if err != nil {
+			t.Fatalf("%s: second GenerateWorkload(%d, %d): %v", b.Name(), seed, index, err)
+		}
+		if !reflect.DeepEqual(w, again) {
+			t.Fatalf("%s: two generations of (%d, %d) differ", b.Name(), seed, index)
 		}
 	})
 }

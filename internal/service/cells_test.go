@@ -2,10 +2,12 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -486,6 +488,147 @@ func TestCellExecuteEndpoint(t *testing.T) {
 		if rec, _ := doJSON(t, s.Handler(), "POST", "/v1/cells:execute", body); rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", name, rec.Code)
 		}
+	}
+}
+
+// postCell sends one /v1/cells:execute request straight to the handler.
+// It reports nothing through t, so concurrent goroutines may call it.
+func postCell(s *Server, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/cells:execute", strings.NewReader(body)))
+	return rec
+}
+
+// TestCellExecuteHitResolvesNothing pins the hit path of
+// /v1/cells:execute: once a cell is cached, a repeat request is answered
+// from the store by its names alone, with no workload generated and no
+// inventory built, and with the first response's bytes.
+func TestCellExecuteHitResolvesNothing(t *testing.T) {
+	gb := &genBench{name: "991.gen_r"}
+	cb := &countBench{name: "990.count_r"}
+	s := newTestServer(t, gb, cb)
+	bodies := []string{
+		`{"benchmark": "991.gen_r", "workload": "gen.s1.15", "config": {"reps": 1}}`,
+		`{"benchmark": "990.count_r", "workload": "train", "config": {"reps": 1}}`,
+	}
+	first := make([]string, len(bodies))
+	for i, body := range bodies {
+		rec := postCell(s, body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("warm %s: %d\n%s", body, rec.Code, rec.Body.String())
+		}
+		first[i] = rec.Body.String()
+	}
+	gens, invs := gb.generations.Load(), cb.inventories.Load()
+	before := s.cells.stats()
+
+	const n = 25
+	for r := 0; r < n; r++ {
+		for i, body := range bodies {
+			rec := postCell(s, body)
+			if rec.Code != http.StatusOK || rec.Body.String() != first[i] {
+				t.Fatalf("hit %d of %s: %d, want 200 with the first response's bytes\n%s", r, body, rec.Code, rec.Body.String())
+			}
+		}
+	}
+	if d := gb.generations.Load() - gens; d != 0 {
+		t.Errorf("hits generated %d workloads, want 0", d)
+	}
+	if d := cb.inventories.Load() - invs; d != 0 {
+		t.Errorf("hits built %d inventories, want 0", d)
+	}
+	after := s.cells.stats()
+	if d := after.Hits - before.Hits; d != 2*n {
+		t.Errorf("hits grew by %d, want %d", d, 2*n)
+	}
+	if after.LocalRuns != before.LocalRuns || after.Misses != before.Misses {
+		t.Errorf("hits ran or missed cells: local runs %d -> %d, misses %d -> %d",
+			before.LocalRuns, after.LocalRuns, before.Misses, after.Misses)
+	}
+}
+
+// brokenGenBench is genBench whose generator fails at one index, after
+// waiting for gate when gate is set.
+type brokenGenBench struct {
+	*genBench
+	bad  int
+	gate chan struct{}
+}
+
+var errBrokenGenerator = errors.New("broken generator")
+
+func (b brokenGenBench) GenerateWorkload(seed int64, index int) (core.Workload, error) {
+	if index == b.bad {
+		if b.gate != nil {
+			<-b.gate
+		}
+		return nil, errBrokenGenerator
+	}
+	return b.genBench.GenerateWorkload(seed, index)
+}
+
+// TestCellExecuteResolveErrors covers names that fail to resolve now that
+// only a flight leader resolves: the leader and every request waiting on
+// its flight answer 400 with the resolution error, the failed flight
+// leaves nothing in the store, and the server goes on serving.
+func TestCellExecuteResolveErrors(t *testing.T) {
+	gb := brokenGenBench{genBench: &genBench{name: "991.gen_r"}, bad: 3, gate: make(chan struct{})}
+	s := newTestServer(t, gb, &countBench{name: "990.count_r"})
+	const body = `{"benchmark": "991.gen_r", "workload": "gen.s1.3", "config": {"reps": 1}}`
+
+	// Eight requests for the same cell: the leader blocks in the generator
+	// until the other seven wait on its flight, so they share its error.
+	const n = 8
+	recs := make([]*httptest.ResponseRecorder, n)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = postCell(s, body)
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.cells.stats().InflightWaits < n-1 {
+		if time.Now().After(deadline) {
+			close(gb.gate)
+			wg.Wait()
+			t.Fatalf("requests never joined one flight: %+v", s.cells.stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gb.gate)
+	wg.Wait()
+	for i, rec := range recs {
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), errBrokenGenerator.Error()) {
+			t.Errorf("request %d: %d, want 400 with %q\n%s", i, rec.Code, errBrokenGenerator, rec.Body.String())
+		}
+	}
+	st := s.cells.stats()
+	if st.Inflight != 0 || st.Cells != 0 || st.Misses != 1 || st.InflightWaits != n-1 || st.LocalRuns != 0 {
+		t.Errorf("store after a failed resolution = %+v, want one miss, %d waits and no entries", st, n-1)
+	}
+
+	// A generated name sent to a benchmark that cannot generate is
+	// rejected before the store; an unknown inventory name fails its
+	// flight's resolution. Both answer 400.
+	for _, bad := range []string{
+		`{"benchmark": "990.count_r", "workload": "gen.s1.2", "config": {}}`,
+		`{"benchmark": "990.count_r", "workload": "ghost", "config": {}}`,
+	} {
+		if rec := postCell(s, bad); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "no such workload") {
+			t.Errorf("%s: %d, want 400 naming the missing workload\n%s", bad, rec.Code, rec.Body.String())
+		}
+	}
+	if st := s.cells.stats(); st.Misses != 2 || st.Inflight != 0 || st.Cells != 0 {
+		t.Errorf("store = %+v, want only the unknown inventory name counted as a second miss", st)
+	}
+
+	if rec := postCell(s, `{"benchmark": "991.gen_r", "workload": "gen.s1.4", "config": {"reps": 1}}`); rec.Code != http.StatusOK {
+		t.Fatalf("valid cell after failed resolutions: %d\n%s", rec.Code, rec.Body.String())
+	}
+	if st := s.cells.stats(); st.Cells != 1 || st.LocalRuns != 1 {
+		t.Errorf("store = %+v, want the valid cell cached", st)
 	}
 }
 

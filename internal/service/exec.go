@@ -89,6 +89,11 @@ func (s *Server) cellMeasurement(ctx context.Context, c plannedCell, cfg report.
 // worker fleet first (when configured), fall back to bounded local
 // execution. Local runs take a slot of localSem, the server-wide bound on
 // concurrent measurements (cmd/albertad's -parallel).
+//
+// A cell planned without its workload is resolved here, by name, and
+// nowhere else: only a leader about to run the cell locally pays for
+// regenerating or looking up its input. A name that does not resolve
+// fails the flight with a workloadError.
 func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunConfig, allowRemote bool) (report.Measurement, cellOutcome, error) {
 	if allowRemote && len(s.cfg.Workers) > 0 {
 		if m, ok := s.remoteCell(ctx, c, cfg); ok {
@@ -98,6 +103,13 @@ func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunC
 			return report.Measurement{}, 0, err
 		}
 		s.cells.noteFailover()
+	}
+	wl := c.w
+	if wl == nil {
+		var err error
+		if wl, err = core.ResolveWorkload(c.bench, c.name); err != nil {
+			return report.Measurement{}, 0, workloadError{err}
+		}
 	}
 	select {
 	case s.localSem <- struct{}{}:
@@ -109,12 +121,20 @@ func (s *Server) executeCell(ctx context.Context, c plannedCell, cfg report.RunC
 	if err != nil {
 		return report.Measurement{}, 0, err
 	}
-	m, err := harness.RunWorkload(ctx, c.bench, c.w, opts)
+	m, err := harness.RunWorkload(ctx, c.bench, wl, opts)
 	if err != nil {
 		return report.Measurement{}, 0, err
 	}
 	return m, cellLocal, nil
 }
+
+// workloadError is a cell whose workload name did not resolve. The
+// request named no workload of the benchmark, so /v1/cells:execute
+// answers it 400 rather than as a failed execution.
+type workloadError struct{ err error }
+
+func (e workloadError) Error() string { return e.err.Error() }
+func (e workloadError) Unwrap() error { return e.err }
 
 // remoteCell tries to execute the cell on the worker fleet. The home
 // worker is chosen by a stable hash of the cell key, so the same cell
@@ -145,7 +165,7 @@ func (s *Server) remoteCell(ctx context.Context, c plannedCell, cfg report.RunCo
 			return m, true
 		}
 		s.cells.noteRemoteError(fmt.Sprintf("cell %.12s %s/%s attempt %d/%d: %v",
-			c.key, c.bench.Name(), c.w.WorkloadName(), a+1, attempts, err))
+			c.key, c.bench.Name(), c.name, a+1, attempts, err))
 	}
 	return report.Measurement{}, false
 }
@@ -181,7 +201,7 @@ type cellExecuteResponse struct {
 func (s *Server) executeOnWorker(ctx context.Context, base string, c plannedCell, cfg report.RunConfig) (report.Measurement, error) {
 	body, err := json.Marshal(cellExecuteRequest{
 		Benchmark: c.bench.Name(),
-		Workload:  c.w.WorkloadName(),
+		Workload:  c.name,
 		Config:    cfg,
 	})
 	if err != nil {
@@ -215,9 +235,9 @@ func (s *Server) executeOnWorker(ctx context.Context, base string, c plannedCell
 	if out.SchemaVersion != report.SchemaVersion {
 		return report.Measurement{}, fmt.Errorf("worker %s: schema_version %d, want %d", base, out.SchemaVersion, report.SchemaVersion)
 	}
-	if out.Measurement.Benchmark != c.bench.Name() || out.Measurement.Workload != c.w.WorkloadName() {
+	if out.Measurement.Benchmark != c.bench.Name() || out.Measurement.Workload != c.name {
 		return report.Measurement{}, fmt.Errorf("worker %s: returned measurement for %s/%s, want %s/%s",
-			base, out.Measurement.Benchmark, out.Measurement.Workload, c.bench.Name(), c.w.WorkloadName())
+			base, out.Measurement.Benchmark, out.Measurement.Workload, c.bench.Name(), c.name)
 	}
 	return out.Measurement, nil
 }
@@ -227,6 +247,16 @@ func (s *Server) executeOnWorker(ctx context.Context, base string, c plannedCell
 // cell store, so a worker single-flights and caches exactly like a
 // coordinator; allowRemote is false, so workers never forward (a
 // misconfigured worker ring cannot loop a cell forever).
+//
+// A hit is decided by names alone: the key is built from the request's
+// benchmark, workload name and normalized config, with nothing generated
+// or looked up first. An entry resolves only after its leader resolved
+// and ran the same name, and resolution is deterministic, so a hit proves
+// the name valid. On a miss the leader resolves the name (executeCell);
+// that is how a worker regenerates a sweep's generated workloads, which
+// are in no inventory, from the provenance in their names. A name that
+// does not resolve answers 400 to the leader and to every request that
+// waited on its flight.
 func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 	var req cellExecuteRequest
 	if !decodeRequest(w, r, &req) {
@@ -237,14 +267,12 @@ func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "unknown benchmark %q", req.Benchmark)
 		return
 	}
-	// ResolveWorkload, not FindWorkload: sweep cells name generated
-	// workloads that are in no inventory — a worker regenerates them from
-	// the provenance in the name (core.Generator's contract), so a
-	// coordinator can shard a sweep across the fleet like any other job.
-	wl, err := core.ResolveWorkload(b, req.Workload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
+	if _, _, gen := core.ParseGeneratedName(req.Workload); gen {
+		if _, ok := b.(core.Generator); !ok {
+			// The message resolving the name would fail with.
+			writeError(w, http.StatusBadRequest, "%v: %s/%s (benchmark cannot generate workloads)", core.ErrNoWorkload, b.Name(), req.Workload)
+			return
+		}
 	}
 	opts, err := runOptions(req.Config)
 	if err != nil {
@@ -252,13 +280,17 @@ func (s *Server) handleCellExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := opts.ReportConfig()
-	c := plannedCell{bench: b, w: wl, key: cellKey(b.Name(), wl.WorkloadName(), cfg)}
+	c := plannedCell{bench: b, name: req.Workload, key: cellKey(b.Name(), req.Workload, cfg)}
 	m, _, err := s.cellMeasurement(r.Context(), c, cfg, false, nil)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client went away; nothing useful to write
 		}
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		code := http.StatusInternalServerError
+		if errors.As(err, new(workloadError)) {
+			code = http.StatusBadRequest
+		}
+		writeError(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, cellExecuteResponse{SchemaVersion: report.SchemaVersion, Measurement: m})

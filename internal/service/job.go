@@ -173,7 +173,7 @@ func (j *job) cellStarted(c plannedCell) {
 	j.publishLocked(Event{
 		Kind:      "start",
 		Benchmark: c.bench.Name(),
-		Workload:  c.w.WorkloadName(),
+		Workload:  c.name,
 		Completed: j.completed,
 		Total:     j.req.total,
 	})
@@ -190,7 +190,7 @@ func (j *job) cellDone(c plannedCell, out cellOutcome) {
 	j.publishLocked(Event{
 		Kind:      "done",
 		Benchmark: c.bench.Name(),
-		Workload:  c.w.WorkloadName(),
+		Workload:  c.name,
 		Cached:    out == cellCached,
 		Completed: j.completed,
 		Total:     j.req.total,
@@ -210,7 +210,7 @@ func (j *job) cellFailed(c plannedCell, err error) {
 	j.publishLocked(Event{
 		Kind:      "error",
 		Benchmark: c.bench.Name(),
-		Workload:  c.w.WorkloadName(),
+		Workload:  c.name,
 		Error:     err.Error(),
 		Completed: j.completed,
 		Total:     j.req.total,

@@ -518,10 +518,13 @@ func (s *Server) resolveJobCells(j *job) ([]report.Measurement, error) {
 	return ms, nil
 }
 
-// plannedCell is one cell of a job's plan: a benchmark/workload pair plus
-// the cell's cache identity.
+// plannedCell is one cell: a benchmark, a workload name and the cell's
+// cache identity. Job and sweep plans hold the workload already and set
+// w; a cell named by a /v1/cells:execute request leaves it nil, and its
+// flight leader resolves the name (executeCell).
 type plannedCell struct {
 	bench core.Benchmark
+	name  string
 	w     core.Workload
 	key   string
 }
@@ -601,6 +604,7 @@ func (s *Server) normalizeRequest(req JobRequest) (normalized, error) {
 			if n.cfg.IncludeTest || wl.WorkloadKind() != core.KindTest {
 				n.cells = append(n.cells, plannedCell{
 					bench: b,
+					name:  wl.WorkloadName(),
 					w:     wl,
 					key:   cellKey(name, wl.WorkloadName(), n.cfg),
 				})

@@ -33,18 +33,21 @@ type execFunc func(p *perf.Profiler) (core.Result, error)
 
 func (f execFunc) Execute(p *perf.Profiler) (core.Result, error) { return f(p) }
 
-// countBench is a tiny deterministic benchmark that counts executions, so
-// tests can assert a cache hit executed zero measurements. With a gate it
-// blocks until released, letting tests hold a job in the running state.
+// countBench is a tiny deterministic benchmark that counts executions and
+// inventory builds, so tests can assert a cache hit executed zero
+// measurements and looked nothing up. With a gate it blocks until
+// released, letting tests hold a job in the running state.
 type countBench struct {
-	name string
-	runs atomic.Int64
-	gate chan struct{}
+	name        string
+	runs        atomic.Int64
+	inventories atomic.Int64
+	gate        chan struct{}
 }
 
 func (b *countBench) Name() string { return b.name }
 func (b *countBench) Area() string { return "testing" }
 func (b *countBench) Workloads() ([]core.Workload, error) {
+	b.inventories.Add(1)
 	return []core.Workload{
 		core.Meta{Name: "test", Kind: core.KindTest},
 		core.Meta{Name: "train", Kind: core.KindTrain},

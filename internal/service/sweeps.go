@@ -216,6 +216,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		u := units[i]
 		c := plannedCell{
 			bench: u.Benchmark,
+			name:  u.Workload.WorkloadName(),
 			w:     u.Workload,
 			key:   cellKey(u.Benchmark.Name(), u.Workload.WorkloadName(), cfg),
 		}

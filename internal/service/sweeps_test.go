@@ -21,10 +21,11 @@ import (
 
 // genBench is a generator-capable test benchmark whose behaviour varies
 // by generated index, so clustering has real structure to find. It
-// counts executions, letting tests assert cache reuse.
+// counts executions and generations, letting tests assert cache reuse.
 type genBench struct {
-	name string
-	runs atomic.Int64
+	name        string
+	runs        atomic.Int64
+	generations atomic.Int64
 }
 
 func (b *genBench) Name() string { return b.name }
@@ -34,6 +35,7 @@ func (b *genBench) Workloads() ([]core.Workload, error) {
 }
 
 func (b *genBench) GenerateWorkload(seed int64, index int) (core.Workload, error) {
+	b.generations.Add(1)
 	return core.Meta{Name: core.GeneratedName(seed, index), Kind: core.KindAlberta}, nil
 }
 
