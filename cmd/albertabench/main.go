@@ -12,9 +12,6 @@
 // explicit -workers below 2 is an error) — each with its
 // allocation profile (allocs/bytes/GC cycles per characterization), which
 // is deterministic and therefore reviewable the same way cycle counts are.
-// A sampled section compares exact characterization against phase-sampled
-// simulation (suite and per-benchmark rows: exact vs sampled wall,
-// speedup, and worst gate-eligible counter error).
 //
 // The microbenchmark bodies mirror internal/perf's go-test benchmarks
 // (BenchmarkLoadHit etc.); the committed JSON is the reviewable record of
@@ -116,21 +113,6 @@ type BenchResult struct {
 	Bytes       uint64  `json:"bytes"`
 }
 
-// SampledResult is one exact-vs-sampled comparison row: wall clock of one
-// exact characterization against one sampled measure pass (the
-// steady-state repeat cost; the one-time profile and warm passes are not
-// in it), and the worst relative error over the gate-eligible counters
-// (those with at least perf.SparseMin exact events — sub-threshold
-// counters are shot noise the gate deliberately ignores).
-type SampledResult struct {
-	// Name is the benchmark for per-bench rows, empty on the suite row.
-	Name               string  `json:"name,omitempty"`
-	WallSecondsExact   float64 `json:"wall_seconds_exact"`
-	WallSecondsSampled float64 `json:"wall_seconds_sampled"`
-	Speedup            float64 `json:"speedup"`
-	MaxCounterErr      float64 `json:"max_counter_err"`
-}
-
 // Baseline is the schema of BENCH_profiler.json.
 type Baseline struct {
 	Go         string        `json:"go"`
@@ -142,13 +124,8 @@ type Baseline struct {
 	// "parallel" run with one worker).
 	Suite         *SuiteResult `json:"suite,omitempty"`
 	SuiteParallel *SuiteResult `json:"suite_parallel,omitempty"`
-	// SuiteSampled compares one exact serial characterization against
-	// phase-sampled simulation of the same matrix; PerBenchSampled breaks
-	// it down by benchmark.
-	SuiteSampled *SampledResult `json:"suite_sampled,omitempty"`
 	// PerBench breaks the optimized serial pass down by benchmark.
-	PerBench        []BenchResult   `json:"per_bench,omitempty"`
-	PerBenchSampled []SampledResult `json:"per_bench_sampled,omitempty"`
+	PerBench []BenchResult `json:"per_bench,omitempty"`
 }
 
 // measure times one micro body via the testing package's calibration loop.
@@ -220,79 +197,6 @@ func measureSuite(workers, suiteCount int) (*SuiteResult, error) {
 	return row, nil
 }
 
-// maxGatedErr is the worst relative error over the gate-eligible rows of a
-// sampled-vs-exact diff (counters with at least perf.SparseMin exact
-// events; sparser rows are shot noise the diff-sampled gate ignores, so
-// recording them here would make the baseline unreadable without saying
-// anything about plan quality).
-func maxGatedErr(d perf.ReportDiff) float64 {
-	worst := 0.0
-	for _, c := range d.Counters {
-		if c.Events >= perf.SparseMin && c.Rel > worst {
-			worst = c.Rel
-		}
-	}
-	return worst
-}
-
-// measureSampled compares exact and phase-sampled characterization cell by
-// cell over the characterized suite: per cell one exact execution and one
-// full sampled pipeline (profile, plan, warm, measure), recording the
-// exact wall against the sampled measure pass — the steady-state cost of
-// one more sampled measurement — and the worst gate-eligible counter
-// error. One pass per cell: wall noise only blurs the speedup column, and
-// the error columns are deterministic.
-func measureSampled() (*SampledResult, []SampledResult, error) {
-	suite, err := benchmarks.CharacterizedSuite()
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx := context.Background()
-	total := &SampledResult{}
-	var rows []SampledResult
-	for _, b := range suite.Benchmarks() {
-		ws, err := core.MeasurementWorkloads(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		row := SampledResult{Name: b.Name()}
-		for _, w := range ws {
-			c, err := harness.SampledDiff(ctx, b, w, harness.Options{Reps: 1})
-			if err != nil {
-				return nil, nil, err
-			}
-			row.WallSecondsExact += c.ExactWall
-			row.WallSecondsSampled += c.SampledWall
-			if e := maxGatedErr(c.Diff); e > row.MaxCounterErr {
-				row.MaxCounterErr = e
-			}
-		}
-		total.WallSecondsExact += row.WallSecondsExact
-		total.WallSecondsSampled += row.WallSecondsSampled
-		if row.MaxCounterErr > total.MaxCounterErr {
-			total.MaxCounterErr = row.MaxCounterErr
-		}
-		if row.WallSecondsSampled > 0 {
-			row.Speedup = round2(row.WallSecondsExact / row.WallSecondsSampled)
-		}
-		fmt.Fprintf(os.Stderr, "albertabench: sampled %-18s exact %6.2fs   sampled %6.2fs   %.2fx   maxerr %.4f\n",
-			row.Name, row.WallSecondsExact, row.WallSecondsSampled, row.Speedup, row.MaxCounterErr)
-		row.WallSecondsExact = round2(row.WallSecondsExact)
-		row.WallSecondsSampled = round2(row.WallSecondsSampled)
-		row.MaxCounterErr = round4(row.MaxCounterErr)
-		rows = append(rows, row)
-	}
-	if total.WallSecondsSampled > 0 {
-		total.Speedup = round2(total.WallSecondsExact / total.WallSecondsSampled)
-	}
-	fmt.Fprintf(os.Stderr, "albertabench: sampled suite: exact %.2fs   sampled %.2fs   %.2fx   maxerr %.4f\n",
-		total.WallSecondsExact, total.WallSecondsSampled, total.Speedup, total.MaxCounterErr)
-	total.WallSecondsExact = round2(total.WallSecondsExact)
-	total.WallSecondsSampled = round2(total.WallSecondsSampled)
-	total.MaxCounterErr = round4(total.MaxCounterErr)
-	return total, rows, nil
-}
-
 // measurePerBench times one optimized serial characterization of each
 // benchmark's measurement workloads, with the allocation delta captured
 // around it (a forced GC first, as in runSuite). Minimum wall over
@@ -345,7 +249,6 @@ func main() {
 	microOnly := flag.Bool("micro", false, "skip the full-suite wall-clock comparison")
 	suiteCount := flag.Int("suitecount", 3, "suite timing passes; the minimum is recorded")
 	workers := flag.Int("workers", 0, "worker count for the parallel suite row (0 = GOMAXPROCS; explicit values below 2 are an error)")
-	sampledOnly := flag.Bool("sampled", false, "measure only the exact-vs-sampled comparison rows (suite + per benchmark)")
 	check := flag.String("check", "", "re-run the microbenchmarks and compare against this baseline JSON (warn-only)")
 	budget := flag.String("budget", "", "re-time selected benchmarks and compare against this baseline's per_bench rows (warn-only)")
 	benches := flag.String("benches", "500.perlbench_r,502.gcc_r", "comma-separated benchmark names for -budget")
@@ -358,8 +261,6 @@ func main() {
 		err = runCheck(*check, *tol)
 	case *budget != "":
 		err = runBudget(*budget, *tol, *benches)
-	case *sampledOnly:
-		err = runSampledOnly(*out)
 	default:
 		err = run(*out, *microOnly, *suiteCount, *workers)
 	}
@@ -407,9 +308,6 @@ func run(out string, microOnly bool, suiteCount, workers int) error {
 		} else {
 			fmt.Fprintln(os.Stderr, "albertabench: 1-CPU machine: omitting the parallel suite row")
 		}
-		if base.SuiteSampled, base.PerBenchSampled, err = measureSampled(); err != nil {
-			return err
-		}
 		if base.PerBench, err = measurePerBench(2, nil); err != nil {
 			return err
 		}
@@ -430,18 +328,6 @@ func writeBaseline(base Baseline, out string) error {
 		return err
 	}
 	return os.WriteFile(out, doc, 0o644)
-}
-
-// runSampledOnly writes a baseline holding only the sampled comparison
-// rows — the cheap artifact CI publishes on every run, next to the full
-// committed baseline that `make bench` regenerates.
-func runSampledOnly(out string) error {
-	base := Baseline{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	var err error
-	if base.SuiteSampled, base.PerBenchSampled, err = measureSampled(); err != nil {
-		return err
-	}
-	return writeBaseline(base, out)
 }
 
 // runCheck re-times the microbenchmarks and compares them against the
@@ -555,13 +441,4 @@ func round2(v float64) float64 {
 		return -round2(-v)
 	}
 	return float64(int64(v*100+0.5)) / 100
-}
-
-// round4 is round2 at error-column resolution: relative errors live well
-// below 1%, where two decimals would round them to zero.
-func round4(v float64) float64 {
-	if v < 0 {
-		return -round4(-v)
-	}
-	return float64(int64(v*10000+0.5)) / 10000
 }

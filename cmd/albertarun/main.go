@@ -50,8 +50,6 @@ type config struct {
 	verbose    bool
 	clusterK   int
 	sampled    bool
-	interval   uint64
-	phases     int
 	cpuProfile string
 	memProfile string
 	memStats   bool
@@ -71,12 +69,10 @@ type config struct {
 // options assembles the raw (unnormalized) harness options from flags.
 func (c *config) options() harness.Options {
 	opts := harness.Options{
-		Reps:            c.reps,
-		Workers:         c.parallel,
-		FailFast:        c.failFast,
-		Sampled:         c.sampled,
-		SampledInterval: c.interval,
-		SampledPhases:   c.phases,
+		Reps:     c.reps,
+		Workers:  c.parallel,
+		FailFast: c.failFast,
+		Sampled:  c.sampled,
 	}
 	if c.verbose {
 		opts.Progress = func(e harness.Event) {
@@ -151,8 +147,6 @@ func main() {
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit one versioned report.Suite envelope (schema_version 2) instead of text")
 	flag.BoolVar(&cfg.verbose, "v", false, "report per-workload progress on stderr")
 	flag.BoolVar(&cfg.sampled, "sampled", false, "phase-sampled simulation: cluster BBV intervals, simulate representatives, extrapolate probe counters")
-	flag.Uint64Var(&cfg.interval, "interval", 0, "sampled-mode profiling interval in retired ops (0 = default)")
-	flag.IntVar(&cfg.phases, "phases", 0, "sampled-mode phase cluster count k (0 = default)")
 	flag.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile at exit to this file")
 	flag.BoolVar(&cfg.memStats, "memstats", false, "print the run's allocation totals (allocs, bytes, GC cycles) on stderr at exit")

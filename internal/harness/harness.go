@@ -9,15 +9,14 @@
 // runWorkload, through which every local measurement passes, is the one
 // place a panicking benchmark is recovered into that cell's error.
 // Its repetition loop is the one loop that runs measured passes, exact and
-// sampled; SampledDiff composes the same sampled prelude and pass helper
-// with one exact pass. RunSuite and RunWorkload are thin convenience
+// sampled. RunSuite and RunWorkload are thin convenience
 // wrappers over the Runner and runWorkload.
 //
 // Result data types live in the internal/harness/report package, which
 // defines the versioned JSON envelope (report.Suite, schema_version 2)
 // shared by every result frontend. This package exports only the run
-// surface — Options, Runner, ForEach, RunSuite/RunWorkload, SampledDiff
-// and the progress Event contract; the historical aliases over report types were
+// surface — Options, Runner, ForEach, RunSuite/RunWorkload and the
+// progress Event contract; the historical aliases over report types were
 // removed after their one-release deprecation window.
 package harness
 
@@ -31,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/harness/report"
 	"repro/internal/perf"
-	"repro/internal/phase"
 )
 
 // Options configure a characterization run.
@@ -57,19 +55,14 @@ type Options struct {
 	// except for the WallSeconds field.
 	Workers int
 	// Sampled switches workload measurement to phase-sampled simulation:
-	// a profile pass slices the event stream into fixed-size instruction
-	// intervals and fingerprints each, k-medoids clustering picks
-	// representative intervals, a warm pass checkpoints simulator state at
+	// a profile pass slices the event stream into intervals of
+	// perf.DefaultSampleInterval retired ops and fingerprints each,
+	// k-medoids clustering picks phase.DefaultPhases representative
+	// intervals, a warm pass checkpoints simulator state at
 	// the plan's restore points, and the measure passes fully simulate only
 	// the representatives, extrapolating probe-derived counters by cluster
 	// weight. Architectural counters and checksums stay exact.
 	Sampled bool
-	// SampledInterval is the sampled-mode profiling interval in retired
-	// ops; Normalize defaults zero to perf.DefaultSampleInterval.
-	SampledInterval uint64
-	// SampledPhases is the sampled-mode cluster count k; Normalize
-	// defaults zero to phase.DefaultPhases.
-	SampledPhases int
 	// FailFast cancels outstanding work on the first measurement error
 	// and returns that error alone. When false, the run continues past
 	// failures and reports them all in a *RunError alongside the partial
@@ -100,21 +93,6 @@ func (o Options) Normalize() (Options, error) {
 	if o.Workers < 0 {
 		o.Workers = 0
 	}
-	if !o.Sampled {
-		if o.SampledInterval != 0 || o.SampledPhases != 0 {
-			return o, fmt.Errorf("harness: sampled interval/phases require sampled mode")
-		}
-		return o, nil
-	}
-	if o.SampledPhases < 0 {
-		return o, fmt.Errorf("harness: sampled phases must be >= 1 (got %d)", o.SampledPhases)
-	}
-	if o.SampledInterval == 0 {
-		o.SampledInterval = perf.DefaultSampleInterval
-	}
-	if o.SampledPhases == 0 {
-		o.SampledPhases = phase.DefaultPhases
-	}
 	return o, nil
 }
 
@@ -122,16 +100,11 @@ func (o Options) Normalize() (Options, error) {
 // report.Suite envelopes and used for cache key derivation. Call it on
 // normalized Options.
 func (o Options) ReportConfig() report.RunConfig {
-	cfg := report.RunConfig{
+	return report.RunConfig{
 		Reps:        o.Reps,
 		IncludeTest: o.IncludeTest,
+		Sampled:     o.Sampled,
 	}
-	if o.Sampled {
-		cfg.Sampled = true
-		cfg.SampledInterval = o.SampledInterval
-		cfg.SampledPhases = o.SampledPhases
-	}
-	return cfg
 }
 
 // RunWorkload executes one benchmark/workload pair opts.Reps times.
@@ -189,7 +162,7 @@ func runWorkload(ctx context.Context, b core.Benchmark, w core.Workload, opts Op
 	var s *samplePlan
 	passes := opts.Reps
 	if opts.Sampled {
-		if s, err = samplePrelude(ctx, name, pw, p, opts); err != nil {
+		if s, err = samplePrelude(ctx, name, pw, p); err != nil {
 			return report.Measurement{}, err
 		}
 		passes = max(1, opts.Reps-2)

@@ -13,7 +13,7 @@ import (
 // round trip may make is the canonical one: an empty top-level section is
 // omitted by Encode and so decodes as nil.
 func FuzzReportDecode(f *testing.F) {
-	s, err := Build(fakeResults(), RunConfig{Reps: 3, Sampled: true, SampledInterval: 1 << 14, SampledPhases: 8},
+	s, err := Build(fakeResults(), RunConfig{Reps: 3, Sampled: true},
 		BuildOptions{Sections: AllSections()})
 	if err != nil {
 		f.Fatal(err)

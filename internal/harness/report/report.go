@@ -39,12 +39,10 @@ type RunConfig struct {
 	// IncludeTest records whether SPEC test inputs were measured.
 	IncludeTest bool `json:"include_test"`
 	// Sampled records whether measurements were taken by phase-sampled
-	// simulation; SampledInterval and SampledPhases are its profiling
-	// interval (retired ops) and cluster count. All three are omitted from
-	// exact envelopes, which therefore carry no sampling keys at all.
-	Sampled         bool   `json:"sampled,omitempty"`
-	SampledInterval uint64 `json:"sampled_interval,omitempty"`
-	SampledPhases   int    `json:"sampled_phases,omitempty"`
+	// simulation, which has one fixed interval and cluster count
+	// (perf.DefaultSampleInterval, phase.DefaultPhases). It is omitted from
+	// exact envelopes, which therefore carry no sampling key at all.
+	Sampled bool `json:"sampled,omitempty"`
 }
 
 // Sections selects which derived sections Build computes for a Suite.

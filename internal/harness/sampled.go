@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/perf"
@@ -20,19 +19,20 @@ type samplePlan struct {
 }
 
 // samplePrelude runs the two unmeasured passes of a sampled cell on p,
-// which must be fresh or Reset: a profile pass (interval signatures, no
-// probes), phase.BuildPlan over its signatures, and a warm pass (exact
-// probing, counters discarded, simulator state checkpointed at the plan's
-// restore points) whose checksum must equal the profile pass's. It leaves p
-// Reset for the first measure pass.
-func samplePrelude(ctx context.Context, name string, pw core.PreparedWorkload, p *perf.Profiler, opts Options) (*samplePlan, error) {
+// which must be fresh or Reset: a profile pass (signatures of
+// perf.DefaultSampleInterval-op intervals, no probes), phase.BuildPlan
+// into phase.DefaultPhases clusters, and a warm pass (exact probing,
+// counters discarded, simulator state checkpointed at the plan's restore
+// points) whose checksum must equal the profile pass's. It leaves p Reset
+// for the first measure pass.
+func samplePrelude(ctx context.Context, name string, pw core.PreparedWorkload, p *perf.Profiler) (*samplePlan, error) {
 	fail := func(stage string, err error) (*samplePlan, error) {
 		return nil, fmt.Errorf("harness: %s: %s: %w", name, stage, err)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := p.BeginSampleProfile(opts.SampledInterval); err != nil {
+	if err := p.BeginSampleProfile(perf.DefaultSampleInterval); err != nil {
 		return fail("profile", err)
 	}
 	res, err := pw.Execute(p)
@@ -45,8 +45,8 @@ func samplePrelude(ctx context.Context, name string, pw core.PreparedWorkload, p
 		return fail("profile", err)
 	}
 	if s.plan, err = phase.BuildPlan(sigs, phase.Config{
-		IntervalOps: opts.SampledInterval,
-		Phases:      opts.SampledPhases,
+		IntervalOps: perf.DefaultSampleInterval,
+		Phases:      phase.DefaultPhases,
 	}); err != nil {
 		return fail("plan", err)
 	}
@@ -69,67 +69,4 @@ func samplePrelude(ctx context.Context, name string, pw core.PreparedWorkload, p
 	}
 	p.Reset()
 	return s, nil
-}
-
-// SampledComparison is the paired outcome of measuring one workload both
-// exactly and phase-sampled: the two Reports, their per-counter error, the
-// plan the sampled run used, and single-pass wall times (one exact
-// execution vs one sampled measure pass — the steady-state costs).
-type SampledComparison struct {
-	Exact       perf.Report
-	Sampled     perf.Report
-	Diff        perf.ReportDiff
-	Plan        *perf.SamplePlan
-	ExactWall   float64
-	SampledWall float64
-}
-
-// SampledDiff measures b/w exactly and phase-sampled on the same prepared
-// input and returns both sides with their per-counter error. It is one
-// exact pass, the sampled prelude, and one measure pass, each pass run as
-// runWorkload runs it. It is the engine of the `make diff-sampled`
-// validator and albertabench's sampled rows. Options follow Normalize's
-// sampled rules (Sampled is implied).
-func SampledDiff(ctx context.Context, b core.Benchmark, w core.Workload, opts Options) (*SampledComparison, error) {
-	opts.Sampled = true
-	opts, err := opts.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	name := b.Name() + "/" + w.WorkloadName()
-	pw, err := b.Prepare(w)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: prepare: %w", name, err)
-	}
-
-	p := perf.New()
-	exact, err := measurePass(p, pw, nil)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: exact: %w", name, err)
-	}
-	// The sampled passes' Reports recycle the Methods buffer.
-	exact.rpt.Methods = slices.Clone(exact.rpt.Methods)
-	p.Reset()
-	s, err := samplePrelude(ctx, name, pw, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	sampled, err := measurePass(p, pw, s)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: measure: %w", name, err)
-	}
-	if s.checksum != exact.res.Checksum || sampled.res.Checksum != exact.res.Checksum {
-		return nil, fmt.Errorf("harness: %s: nondeterministic checksum across passes", name)
-	}
-	return &SampledComparison{
-		Exact:       exact.rpt,
-		Sampled:     sampled.rpt,
-		Diff:        perf.ReportError(exact.rpt, sampled.rpt),
-		Plan:        s.plan,
-		ExactWall:   exact.wall,
-		SampledWall: sampled.wall,
-	}, nil
 }

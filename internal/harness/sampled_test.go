@@ -3,8 +3,10 @@ package harness
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,6 +15,57 @@ import (
 	"repro/internal/harness/report"
 	"repro/internal/perf"
 )
+
+// sampledComparison is the paired outcome of measuring one workload both
+// exactly and phase-sampled: the two Reports, their per-counter error, and
+// the plan the sampled run used.
+type sampledComparison struct {
+	Exact   perf.Report
+	Sampled perf.Report
+	Diff    perf.ReportDiff
+	Plan    *perf.SamplePlan
+}
+
+// sampledDiff measures b/w exactly and phase-sampled on the same prepared
+// input and returns both sides with their per-counter error. It is one
+// exact pass, the sampled prelude, and one measure pass, each pass run as
+// runWorkload runs it.
+func sampledDiff(ctx context.Context, b core.Benchmark, w core.Workload) (*sampledComparison, error) {
+	name := b.Name() + "/" + w.WorkloadName()
+	pw, err := b.Prepare(w)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: prepare: %w", name, err)
+	}
+
+	p := perf.New()
+	exact, err := measurePass(p, pw, nil)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: exact: %w", name, err)
+	}
+	// The sampled passes' Reports recycle the Methods buffer.
+	exact.rpt.Methods = slices.Clone(exact.rpt.Methods)
+	p.Reset()
+	s, err := samplePrelude(ctx, name, pw, p)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sampled, err := measurePass(p, pw, s)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: measure: %w", name, err)
+	}
+	if s.checksum != exact.res.Checksum || sampled.res.Checksum != exact.res.Checksum {
+		return nil, fmt.Errorf("harness: %s: nondeterministic checksum across passes", name)
+	}
+	return &sampledComparison{
+		Exact:   exact.rpt,
+		Sampled: sampled.rpt,
+		Diff:    perf.ReportError(exact.rpt, sampled.rpt),
+		Plan:    s.plan,
+	}, nil
+}
 
 // TestSampledWithinTolerance is the differential validator behind `make
 // diff-sampled`: for every benchmark × workload it measures the cell
@@ -51,7 +104,7 @@ func TestSampledWithinTolerance(t *testing.T) {
 			b, w := b, w
 			pairs++
 			t.Run(b.Name()+"/"+w.WorkloadName(), func(t *testing.T) {
-				c, err := SampledDiff(ctx, b, w, Options{Reps: 1})
+				c, err := sampledDiff(ctx, b, w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,14 +177,14 @@ func trainCell(t *testing.T, name string) (core.Benchmark, core.Workload) {
 	return nil, nil
 }
 
-// TestSampledDiffAgreesWithRunWorkload: SampledDiff's two Reports must
+// TestSampledDiffAgreesWithRunWorkload: sampledDiff's two Reports must
 // equal the exact and the sampled harness Measurements of the same cell on
 // every modeled field, so the comparison validates the measurements the
 // harness actually reports.
 func TestSampledDiffAgreesWithRunWorkload(t *testing.T) {
 	ctx := context.Background()
 	b, w := trainCell(t, "500.perlbench_r")
-	c, err := SampledDiff(ctx, b, w, Options{Reps: 1})
+	c, err := sampledDiff(ctx, b, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +200,7 @@ func TestSampledDiffAgreesWithRunWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		if m.Cycles != side.rpt.Cycles || m.TopDown != side.rpt.TopDown || !reflect.DeepEqual(m.Coverage, side.rpt.Coverage) {
-			t.Errorf("sampled=%v: RunWorkload and SampledDiff disagree:\nmeasurement cycles %d topdown %+v coverage %v\nreport      cycles %d topdown %+v coverage %v",
+			t.Errorf("sampled=%v: RunWorkload and sampledDiff disagree:\nmeasurement cycles %d topdown %+v coverage %v\nreport      cycles %d topdown %+v coverage %v",
 				side.opts.Sampled, m.Cycles, m.TopDown, m.Coverage, side.rpt.Cycles, side.rpt.TopDown, side.rpt.Coverage)
 		}
 	}
@@ -160,7 +213,7 @@ func TestSampledDiffAgreesWithRunWorkload(t *testing.T) {
 // ones.
 func TestSampledDiffKeepsExactMethods(t *testing.T) {
 	b, w := trainCell(t, "505.mcf_r")
-	c, err := SampledDiff(context.Background(), b, w, Options{Reps: 1})
+	c, err := sampledDiff(context.Background(), b, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,34 +222,23 @@ func TestSampledDiffKeepsExactMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := p.Report().Methods; !reflect.DeepEqual(c.Exact.Methods, want) {
-		t.Errorf("SampledDiff's exact method profiles differ from a cold exact run's:\ngot  %+v\nwant %+v", c.Exact.Methods, want)
+		t.Errorf("sampledDiff's exact method profiles differ from a cold exact run's:\ngot  %+v\nwant %+v", c.Exact.Methods, want)
 	}
 }
 
-// TestSampledOptionsNormalize pins the sampled-mode option rules: defaults
-// filled in, incompatible combinations rejected, and sampled knobs without
-// sampled mode rejected (they would silently change the cache key
-// otherwise).
+// TestSampledOptionsNormalize pins the sampled-mode option rules: sampled
+// mode survives normalization into the report config, and the one rule
+// that rejects options still applies to sampled runs.
 func TestSampledOptionsNormalize(t *testing.T) {
 	o, err := Options{Sampled: true}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.SampledInterval != perf.DefaultSampleInterval || o.SampledPhases == 0 {
-		t.Fatalf("sampled defaults not filled in: %+v", o)
+	if cfg := o.ReportConfig(); !cfg.Sampled {
+		t.Fatalf("ReportConfig dropped sampled mode: %+v", cfg)
 	}
-	cfg := o.ReportConfig()
-	if !cfg.Sampled || cfg.SampledInterval != o.SampledInterval || cfg.SampledPhases != o.SampledPhases {
-		t.Fatalf("ReportConfig dropped sampled fields: %+v", cfg)
-	}
-	for _, bad := range []Options{
-		{Sampled: true, SampledPhases: -1},
-		{SampledInterval: 1 << 10},
-		{SampledPhases: 4},
-	} {
-		if _, err := bad.Normalize(); err == nil {
-			t.Errorf("Options %+v must be rejected", bad)
-		}
+	if _, err := (Options{Sampled: true, Reps: -1}).Normalize(); err == nil {
+		t.Error("negative reps must be rejected in sampled mode")
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"sync"
 
 	"repro/internal/harness/report"
+	"repro/internal/perf"
+	"repro/internal/phase"
 )
 
 // cellKey derives the identity of one cell — a (benchmark × workload ×
@@ -24,8 +26,8 @@ import (
 //   - the build identity (module version/sum and Go version from the
 //     embedded build info — a rebuilt binary may model differently),
 //   - the benchmark and workload names,
-//   - the normalized measurement-affecting config (reps and the sampling
-//     knobs).
+//   - the normalized measurement-affecting config (reps and whether the
+//     cell is sampled).
 //
 // Presentation knobs — the section selection and the Figure 2 top-N fold —
 // and matrix-selection knobs — include_test, the benchmark list — are
@@ -40,9 +42,15 @@ func cellKey(benchmark, workload string, cfg report.RunConfig) string {
 	fmt.Fprintf(h, "benchmark=%s workload=%s\n", benchmark, workload)
 	fmt.Fprintf(h, "reps=%d\n", cfg.Reps)
 	// Sampled measurements extrapolate probe counters, so a sampled cell
-	// and its exact twin must never alias; the interval and phase knobs
-	// change the plan and with it every extrapolated field.
-	fmt.Fprintf(h, "sampled=%t interval=%d phases=%d\n", cfg.Sampled, cfg.SampledInterval, cfg.SampledPhases)
+	// and its exact twin must never alias. The line also names the fixed
+	// sampled interval and cluster count (zero on exact cells), so keys
+	// match those cached while both were request fields.
+	var interval uint64
+	var phases int
+	if cfg.Sampled {
+		interval, phases = perf.DefaultSampleInterval, phase.DefaultPhases
+	}
+	fmt.Fprintf(h, "sampled=%t interval=%d phases=%d\n", cfg.Sampled, interval, phases)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -191,10 +199,10 @@ func (c *cellStore) abandon(key string, e *cellEntry, err error) {
 }
 
 // allResolved returns the measurements for keys if — and only if — every
-// one of them is already resolved; countHits then credits one hit per
-// cell. It backs the submit-time born-done path: a job whose whole plan is
+// one of them is already resolved, and then credits one hit per cell. It
+// backs the submit-time born-done path: a job whose whole plan is
 // cached is answered synchronously without touching the queue.
-func (c *cellStore) allResolved(keys []string, countHits bool) ([]report.Measurement, bool) {
+func (c *cellStore) allResolved(keys []string) ([]report.Measurement, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ms := make([]report.Measurement, len(keys))
@@ -205,9 +213,7 @@ func (c *cellStore) allResolved(keys []string, countHits bool) ([]report.Measure
 		}
 		ms[i] = e.m
 	}
-	if countHits {
-		c.hits += uint64(len(keys))
-	}
+	c.hits += uint64(len(keys))
 	return ms, true
 }
 

@@ -1,8 +1,11 @@
 package service
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -680,20 +683,41 @@ func TestCacheEndpoints(t *testing.T) {
 	}
 }
 
+// TestCellKeyFormulaPinned: cellKey must hash the same lines as when the
+// sampled interval and cluster count were settable, so cached cells keep
+// their keys: zeros on an exact cell, 16Ki ops and 16 phases on a sampled
+// one. The formula is spelled out here with literals, so changing the
+// fixed sampled values or the schema version changes the keys and fails.
+func TestCellKeyFormulaPinned(t *testing.T) {
+	formula := func(reps int, sampled bool, interval uint64, phases int) string {
+		h := sha256.New()
+		fmt.Fprintf(h, "schema=%d\n", 2)
+		h.Write([]byte(buildIdentity()))
+		fmt.Fprintf(h, "benchmark=%s workload=%s\n", "557.xz_r", "train")
+		fmt.Fprintf(h, "reps=%d\n", reps)
+		fmt.Fprintf(h, "sampled=%t interval=%d phases=%d\n", sampled, interval, phases)
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	if got, want := cellKey("557.xz_r", "train", report.RunConfig{Reps: 3}), formula(3, false, 0, 0); got != want {
+		t.Errorf("exact cell key = %s, want %s", got, want)
+	}
+	if got, want := cellKey("557.xz_r", "train", report.RunConfig{Reps: 1, Sampled: true}), formula(1, true, 16<<10, 16); got != want {
+		t.Errorf("sampled cell key = %s, want %s", got, want)
+	}
+}
+
 // TestSampledCellKeyDistinct: a sampled cell and its exact twin must never
 // alias in the cache — extrapolated counters differ from exact ones — and
-// the sampled knobs (interval, phases) are part of the identity because
-// they change the plan. The integration half proves it end to end: after
-// an exact job resolves a cell, a sampled job for the same matrix point
-// must execute, not hit the cache.
+// sampled cells of different reps stay apart as exact ones do. The
+// integration half proves it end to end: after an exact job resolves a
+// cell, a sampled job for the same matrix point must execute, not hit the
+// cache.
 func TestSampledCellKeyDistinct(t *testing.T) {
-	exact := report.RunConfig{Reps: 1}
-	sampled := report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 16}
 	keys := map[string]string{
-		"exact":    cellKey("b", "w", exact),
-		"sampled":  cellKey("b", "w", sampled),
-		"interval": cellKey("b", "w", report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 32 << 10, SampledPhases: 16}),
-		"phases":   cellKey("b", "w", report.RunConfig{Reps: 1, Sampled: true, SampledInterval: 16 << 10, SampledPhases: 8}),
+		"exact":          cellKey("b", "w", report.RunConfig{Reps: 1}),
+		"sampled":        cellKey("b", "w", report.RunConfig{Reps: 1, Sampled: true}),
+		"sampled reps 3": cellKey("b", "w", report.RunConfig{Reps: 3, Sampled: true}),
+		"exact reps 3":   cellKey("b", "w", report.RunConfig{Reps: 3}),
 	}
 	seen := map[string]string{}
 	for name, k := range keys {

@@ -97,6 +97,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"figure2_top_n": -1}`,
 		`{"config": {"stride": 1}}`,
 		`{"config": {"reference": false}}`,
+		`{"config": {"sampled": true, "sampled_interval": 1024}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -139,17 +140,18 @@ func FuzzJobRequest(f *testing.F) {
 func FuzzSweepRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"benchmarks":["991.gen_r"],"per_benchmark":6,"seed":7,"k":2,"config":{"reps":1}}`,
-		`{"benchmarks":["991.gen_r"],"per_benchmark":8,"seed":3,"k":3,"window":3}`,
+		`{"benchmarks":["991.gen_r"],"per_benchmark":8,"seed":3,"k":3}`,
 		`{"benchmarks":["991.gen_r"],"per_benchmark":3,"seed":1,"k":1}`,
 		`{"benchmarks":["991.gen_r"],"per_benchmark":4,"features":"topdown","config":{"reps":1,"sampled":true}}`,
 		`{"benchmarks":["991.gen_r"],"per_benchmark":100000000}`,
 		`{"benchmarks":["999.none_r"]}`,
 		`{"features":"vibes"}`,
-		`{"window":-1}`,
+		`{"window":3}`,
 		`{"per_benchmark":-2}`,
 		`{"bogus":true}`,
 		`{"config":{"stride":1}}`,
 		`{"config":{"reference":false}}`,
+		`{"config":{"sampled":true,"sampled_phases":8}}`,
 	} {
 		f.Add([]byte(seed))
 	}

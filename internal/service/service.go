@@ -9,7 +9,7 @@
 // bounded queue drained by a fixed pool of job workers. A job is planned
 // into cells — one (benchmark × workload × normalized config) point of
 // the matrix — and its cells fan out on harness.ForEach, at most the
-// server's cell window at a time (the same default window POST /v1/sweeps
+// server's cell window at a time (the same window POST /v1/sweeps
 // uses). Each cell resolves independently through the cell-granular
 // result cache (cache.go): cached cells are read back,
 // cold cells execute under single-flight so concurrent jobs needing the
@@ -228,10 +228,8 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 // caller.
 func runOptions(cfg report.RunConfig) (harness.Options, error) {
 	return harness.Options{
-		Reps:            cfg.Reps,
-		Sampled:         cfg.Sampled,
-		SampledInterval: cfg.SampledInterval,
-		SampledPhases:   cfg.SampledPhases,
+		Reps:    cfg.Reps,
+		Sampled: cfg.Sampled,
 	}.Normalize()
 }
 
@@ -346,7 +344,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := newJob(fmt.Sprintf("job-%d", s.nextID), nr)
 
-	if ms, ok := s.cells.allResolved(nr.cellKeys(), true); ok {
+	if ms, ok := s.cells.allResolved(nr.cellKeys()); ok {
 		// Every cell is cached: the job is born done, nothing executes.
 		// A request differing only in presentation (sections, top-N)
 		// from a completed one lands here by construction — presentation

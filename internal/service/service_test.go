@@ -163,29 +163,41 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRetiredConfigFieldsRejected: a request that sends the retired stride
-// or reference config field must fail loudly — a 400 error envelope naming
-// the field — on every endpoint that takes a run config, rather than being
-// measured under a config it did not ask for.
+// TestRetiredConfigFieldsRejected: a request that sends a retired field —
+// the stride, reference, sampled_interval or sampled_phases config field,
+// or a sweep's window — must fail loudly — a 400 error envelope naming
+// the field — on every endpoint that took it, rather than being measured
+// under a config it did not ask for.
 func TestRetiredConfigFieldsRejected(t *testing.T) {
 	s := newTestServer(t)
+	check := func(path, field, body string) {
+		t.Helper()
+		rec, doc := doJSON(t, s.Handler(), "POST", path, body)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s with %s: status = %d, want 400", path, field, rec.Code)
+		}
+		msg, _ := doc["error"].(string)
+		if !strings.Contains(msg, `"`+field+`"`) || doc["schema_version"] != float64(report.SchemaVersion) {
+			t.Errorf("%s with %s: error envelope = %v", path, field, doc)
+		}
+	}
 	bodies := map[string]string{
 		"/v1/jobs":          `{"config": {%s}}`,
 		"/v1/sweeps":        `{"config": {%s}}`,
 		"/v1/cells:execute": `{"benchmark": "990.count_r", "workload": "train", "config": {%s}}`,
 	}
+	retired := map[string]string{
+		"stride":           "1",
+		"reference":        "false",
+		"sampled_interval": "16384",
+		"sampled_phases":   "16",
+	}
 	for path, body := range bodies {
-		for field, value := range map[string]string{"stride": "1", "reference": "false"} {
-			rec, doc := doJSON(t, s.Handler(), "POST", path, fmt.Sprintf(body, `"`+field+`": `+value))
-			if rec.Code != http.StatusBadRequest {
-				t.Errorf("%s with %s: status = %d, want 400", path, field, rec.Code)
-			}
-			msg, _ := doc["error"].(string)
-			if !strings.Contains(msg, `"`+field+`"`) || doc["schema_version"] != float64(report.SchemaVersion) {
-				t.Errorf("%s with %s: error envelope = %v", path, field, doc)
-			}
+		for field, value := range retired {
+			check(path, field, fmt.Sprintf(body, `"sampled": true, "`+field+`": `+value))
 		}
 	}
+	check("/v1/sweeps", "window", `{"benchmarks": ["990.count_r"], "window": 3}`)
 }
 
 func TestJobLifecycle(t *testing.T) {

@@ -38,11 +38,6 @@ type SweepRequest struct {
 	Features string `json:"features,omitempty"`
 	// ClusterSeed perturbs the k-medoids initialization (0 = canonical).
 	ClusterSeed int64 `json:"cluster_seed,omitempty"`
-	// Window bounds in-flight cells (default the server's cell window,
-	// shared with jobs: 2 × RunWorkers, plus RemoteFanout when the server
-	// coordinates a worker fleet): the sweep holds at most Window
-	// unreported measurements, however many cells the plan has.
-	Window int `json:"window,omitempty"`
 	// Config is the measurement configuration (reps, sampling) —
 	// part of every cell's cache identity, exactly as in POST /v1/jobs.
 	Config report.RunConfig `json:"config"`
@@ -105,11 +100,13 @@ func (o cellOutcome) String() string {
 const maxSweepCells = 1 << 16
 
 // handleSweep is POST /v1/sweeps. The sweep runs inside the request:
-// harness.ForEach hands plan indices to Window workers, each resolving its
-// cell through the cell store (cache, single-flight dedup, worker fleet)
-// and streaming a frame per completion; the accumulator compacts each
-// measurement to a behaviour point and releases it, so the handler holds
-// O(Window) measurements regardless of plan size. Selection happens after
+// harness.ForEach hands plan indices to the server's cell window of
+// workers (shared with jobs: 2 × RunWorkers, plus RemoteFanout when the
+// server coordinates a worker fleet), each resolving its cell through the
+// cell store (cache, single-flight dedup, worker fleet) and streaming a
+// frame per completion; the accumulator compacts each measurement to a
+// behaviour point and releases it, so the handler holds O(window)
+// measurements regardless of plan size. Selection happens after
 // the last cell, keyed by plan index — the representative sets are
 // byte-identical to cmd/albertasweep's for the same request.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -152,14 +149,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if req.Window < 0 {
-		writeError(w, http.StatusBadRequest, "window must be >= 0 (got %d)", req.Window)
-		return
-	}
-	window := req.Window
-	if window == 0 {
-		window = s.window
 	}
 
 	flusher, ok := w.(http.Flusher)
@@ -212,7 +201,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	acc := sweep.NewAccumulator(swcfg)
 	var mu sync.Mutex // serializes acc and frame emission across workers
-	err = harness.ForEach(r.Context(), len(units), window, func(ctx context.Context, _, i int) error {
+	err = harness.ForEach(r.Context(), len(units), s.window, func(ctx context.Context, _, i int) error {
 		u := units[i]
 		c := plannedCell{
 			bench: u.Benchmark,

@@ -158,7 +158,7 @@ func TestSweepStream(t *testing.T) {
 // same request.
 func TestSweepMatchesCLIPath(t *testing.T) {
 	s := newTestServer(t, &genBench{name: "991.gen_r"})
-	rec := postSweep(t, s, `{"benchmarks":["991.gen_r"],"per_benchmark":8,"seed":3,"k":3,"window":3}`, false)
+	rec := postSweep(t, s, `{"benchmarks":["991.gen_r"],"per_benchmark":8,"seed":3,"k":3}`, false)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d\n%s", rec.Code, rec.Body.String())
 	}
@@ -264,7 +264,7 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		{"unknown benchmark", `{"benchmarks":["999.none_r"]}`},
 		{"non-generator benchmark", `{"benchmarks":["990.count_r"]}`},
 		{"bad features", `{"features":"vibes"}`},
-		{"negative window", `{"window":-1}`},
+		{"window", `{"window":3}`},
 		{"bad per_benchmark", `{"per_benchmark":-2}`},
 		{"unknown field", `{"bogus":true}`},
 		{"out-of-domain seed", `{"benchmarks":["523.xalancbmk_r"],"per_benchmark":2,"seed":-7}`},

@@ -41,87 +41,6 @@ func (c twoBit) update(taken bool) twoBit {
 	return c
 }
 
-// Bimodal is a classic per-site 2-bit saturating counter predictor.
-type Bimodal struct {
-	table []twoBit
-	mask  uint64
-}
-
-// NewBimodal returns a bimodal predictor with 2^bits counters. Counters are
-// initialized to weakly taken, matching common hardware reset state.
-func NewBimodal(bits uint) *Bimodal {
-	n := uint64(1) << bits
-	b := &Bimodal{table: make([]twoBit, n), mask: n - 1}
-	b.Reset()
-	return b
-}
-
-// Reset restores every counter to weakly taken.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 2
-	}
-}
-
-// Observe implements Predictor.
-func (b *Bimodal) Observe(site uint64, taken bool) bool {
-	return b.observeHashed(mix(site), taken)
-}
-
-// observeHashed is the table update with the site hash already computed, so
-// a combining predictor can hash once per branch for all its components.
-func (b *Bimodal) observeHashed(h uint64, taken bool) bool {
-	idx := h & b.mask
-	correct := b.table[idx].taken() == taken
-	b.table[idx] = b.table[idx].update(taken)
-	return correct
-}
-
-// GShare is a global-history predictor: the pattern-history table is indexed
-// by the branch site XOR the global outcome history.
-type GShare struct {
-	table    []twoBit
-	mask     uint64
-	history  uint64
-	histLen  uint
-	histMask uint64
-}
-
-// NewGShare returns a gshare predictor with 2^bits counters and a history
-// register of historyLen bits.
-func NewGShare(bits, historyLen uint) *GShare {
-	n := uint64(1) << bits
-	g := &GShare{table: make([]twoBit, n), mask: n - 1, histLen: historyLen,
-		histMask: (1 << historyLen) - 1}
-	g.Reset()
-	return g
-}
-
-// Reset clears the history and restores counters to weakly taken.
-func (g *GShare) Reset() {
-	g.history = 0
-	for i := range g.table {
-		g.table[i] = 2
-	}
-}
-
-// Observe implements Predictor.
-func (g *GShare) Observe(site uint64, taken bool) bool {
-	return g.observeHashed(mix(site), taken)
-}
-
-// observeHashed is the table update with the site hash already computed.
-func (g *GShare) observeHashed(h uint64, taken bool) bool {
-	idx := (h ^ g.history) & g.mask
-	correct := g.table[idx].taken() == taken
-	g.table[idx] = g.table[idx].update(taken)
-	g.history = (g.history << 1) & g.histMask
-	if taken {
-		g.history |= 1
-	}
-	return correct
-}
-
 // satNext is the saturating 2-bit counter transition table, indexed by
 // (counter<<1)|outcome. It is twoBit.update flattened into a branchless
 // lookup for the predictor hot path.

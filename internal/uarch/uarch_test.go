@@ -7,7 +7,7 @@ import (
 )
 
 func TestBimodalLearnsAlwaysTaken(t *testing.T) {
-	p := NewBimodal(10)
+	p := newRefBimodal(10)
 	correct := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -21,7 +21,7 @@ func TestBimodalLearnsAlwaysTaken(t *testing.T) {
 }
 
 func TestBimodalAlternatingIsHard(t *testing.T) {
-	p := NewBimodal(10)
+	p := newRefBimodal(10)
 	correct := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -37,7 +37,7 @@ func TestBimodalAlternatingIsHard(t *testing.T) {
 }
 
 func TestGShareLearnsAlternating(t *testing.T) {
-	p := NewGShare(12, 8)
+	p := newRefGShare(12, 8)
 	correct := 0
 	const n = 2000
 	for i := 0; i < n; i++ {
@@ -52,7 +52,7 @@ func TestGShareLearnsAlternating(t *testing.T) {
 }
 
 func TestGShareLearnsShortPattern(t *testing.T) {
-	p := NewGShare(14, 10)
+	p := newRefGShare(14, 10)
 	pattern := []bool{true, true, false, true, false, false}
 	correct := 0
 	const n = 6000
@@ -85,7 +85,7 @@ func TestTournamentAtLeastAsGoodAsWorstComponent(t *testing.T) {
 }
 
 func TestPredictorReset(t *testing.T) {
-	preds := []Predictor{NewBimodal(8), NewGShare(8, 8), NewTournament(8)}
+	preds := []Predictor{newRefBimodal(8), newRefGShare(8, 8), NewTournament(8)}
 	for _, p := range preds {
 		for i := 0; i < 100; i++ {
 			p.Observe(42, false)
