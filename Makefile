@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet fmt lint lint-sarif leak-race test race fuzz-short bench bench-check bench-budget bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
+.PHONY: build vet fmt lint lint-sarif leak-race test race fuzz-short bench-smoke diff-full diff-sampled serve-smoke sweep-smoke check
 
 build:
 	$(GO) build ./...
@@ -66,25 +66,6 @@ fuzz-short:
 	$(FUZZ) -fuzz '^FuzzCacheMatchesReference$$' ./internal/uarch/
 	$(FUZZ) -fuzz '^FuzzEventsMatchReference$$' ./internal/perf/
 	$(FUZZ) -fuzz '^FuzzReportDecode$$' ./internal/harness/report/
-
-# Regenerate the tracked benchmark baseline: event-path microbenchmarks
-# plus the full-suite wall clock. Slow — it characterizes the whole suite
-# several times.
-bench:
-	$(GO) run ./cmd/albertabench -out BENCH_profiler.json
-
-# Warn-only drift check of the committed baseline: re-times the event-path
-# microbenchmarks and flags anything outside the tolerance band. Never fails
-# on timing (CI runners are too noisy for a hard gate); structural drift —
-# a micro missing from the baseline — is a real error.
-bench-check:
-	$(GO) run ./cmd/albertabench -check BENCH_profiler.json
-
-# Warn-only budget assertion for the bytecode-compiled interpreter cells:
-# re-times perlbench and gcc against the baseline's per_bench rows and
-# warns when either exceeds its recorded wall clock by the tolerance band.
-bench-budget:
-	$(GO) run ./cmd/albertabench -budget BENCH_profiler.json
 
 # One-iteration pass over every go-test benchmark; catches bit-rot without
 # the cost of a real measurement.

@@ -241,7 +241,7 @@ func BenchmarkFDOCrossValidation(b *testing.B) {
 }
 
 // BenchmarkSingleWorkloads provides per-benchmark micro baselines: the cost
-// of one refrate execution of each benchmark under full instrumentation.
+// of one test-input execution of each benchmark under full instrumentation.
 func BenchmarkSingleWorkloads(b *testing.B) {
 	suite, err := benchmarks.Suite()
 	if err != nil {

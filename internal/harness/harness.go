@@ -142,7 +142,7 @@ var errPanic = errors.New("panic")
 // restore checkpoints at dead→live edges and fully simulate only the plan's
 // live intervals. WallSeconds is the mean over the loop's passes
 // alone — for a sampled cell the steady-state cost of one more sampled
-// measurement, which is the number the speedup claims are about.
+// measurement, without the prelude.
 //
 // A panic in prepare or execute is recovered into an error wrapping
 // errPanic that names the cell and carries the stack: every local

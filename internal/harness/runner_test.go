@@ -353,19 +353,58 @@ func (g *growingBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
 	}), nil
 }
 
+// reorderBench issues the same loads, ops and checksum on every execution
+// and changes only their order: it sweeps a footprint twice the size of
+// L1D, then sweeps it again forward on odd executions and backward on even
+// ones. A backward second sweep starts on the lines the first left most
+// recently used and hits them in L1D; a forward one finds each line evicted
+// by LRU. Like a kernel ranging over a map, the counts match and the cycles
+// do not.
+type reorderBench struct {
+	runs atomic.Int64
+}
+
+func (r *reorderBench) Name() string { return "952.reorder_r" }
+func (r *reorderBench) Area() string { return "testing" }
+func (r *reorderBench) Workloads() ([]core.Workload, error) {
+	return []core.Workload{core.Meta{Name: "refrate", Kind: core.KindRefrate}}, nil
+}
+func (r *reorderBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
+	const lines = 2 * (32 << 10) / 64
+	return execFunc(func(p *perf.Profiler) (core.Result, error) {
+		backward := r.runs.Add(1)%2 == 0
+		p.Do("reorder", func() {
+			for i := uint64(0); i < lines; i++ {
+				p.Load(i * 64)
+			}
+			for i := uint64(0); i < lines; i++ {
+				line := i
+				if backward {
+					line = lines - 1 - i
+				}
+				p.Load(line * 64)
+			}
+		})
+		return core.Result{Benchmark: r.Name(), Workload: w.WorkloadName(),
+			Kind: w.WorkloadKind(), Checksum: 7}, nil
+	}), nil
+}
+
 // TestRunWorkloadDetectsNondeterministicProfile: an exact cell compares
 // every repetition's Report with the first, and a sampled cell compares its
-// measure passes (Reps 4 runs two) the same way.
+// measure passes (Reps 4 runs two) the same way. Both catch a stream that
+// grows and one that only reorders its loads.
 func TestRunWorkloadDetectsNondeterministicProfile(t *testing.T) {
 	for _, opts := range []Options{{Reps: 3}, {Reps: 4, Sampled: true}} {
-		b := &growingBench{}
-		w, err := core.FindWorkload(b, "refrate")
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = RunWorkload(context.Background(), b, w, opts)
-		if err == nil || !strings.Contains(err.Error(), "nondeterministic profile") {
-			t.Errorf("sampled=%v: expected nondeterministic profile error, got %v", opts.Sampled, err)
+		for _, b := range []core.Benchmark{&growingBench{}, &reorderBench{}} {
+			w, err := core.FindWorkload(b, "refrate")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = RunWorkload(context.Background(), b, w, opts)
+			if err == nil || !strings.Contains(err.Error(), "nondeterministic profile") {
+				t.Errorf("%s sampled=%v: expected nondeterministic profile error, got %v", b.Name(), opts.Sampled, err)
+			}
 		}
 	}
 }

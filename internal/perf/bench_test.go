@@ -2,9 +2,13 @@ package perf
 
 import "testing"
 
-// Microbenchmarks for the event hot path; cmd/albertabench times the same
-// bodies for BENCH_profiler.json. The retained reference path's timings are
-// frozen in DESIGN.md §10.
+// Microbenchmarks for the event hot path, one per event shape. make
+// bench-smoke runs each once to catch bit-rot. For timings, run
+//
+//	go test -run '^$' -bench . ./internal/perf/
+//
+// and compare two commits only in alternating pairs on one box. The retained
+// reference path's timings are frozen in DESIGN.md §10.
 
 // BenchmarkLoadHit measures an 8-byte-element walk over an L1-resident
 // buffer: the dominant event of cache-friendly kernels. Seven of eight loads

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -15,15 +16,16 @@ import (
 )
 
 // faultBench is a benchmark for failure tests: n Alberta workloads plus a
-// train, an optional gate every execution blocks on until closed, and an
-// optional set of workloads whose kernel panics midway through a
-// profiled method.
+// train, generated workloads for sweeps, an optional gate every execution
+// blocks on until closed, and an optional set of workloads whose kernel
+// panics midway through a profiled method (counted in panics).
 type faultBench struct {
 	name    string
 	n       int
 	gate    chan struct{}
 	panicOn map[string]bool
 	runs    atomic.Int64
+	panics  atomic.Int64
 }
 
 func (b *faultBench) Name() string { return b.name }
@@ -34,6 +36,10 @@ func (b *faultBench) Workloads() ([]core.Workload, error) {
 		ws = append(ws, core.Meta{Name: fmt.Sprintf("alberta.%03d", i), Kind: core.KindAlberta})
 	}
 	return ws, nil
+}
+
+func (b *faultBench) GenerateWorkload(seed int64, index int) (core.Workload, error) {
+	return core.Meta{Name: core.GeneratedName(seed, index), Kind: core.KindAlberta}, nil
 }
 
 func (b *faultBench) Prepare(w core.Workload) (core.PreparedWorkload, error) {
@@ -48,6 +54,7 @@ func (b *faultBench) run(w core.Workload, p *perf.Profiler) (core.Result, error)
 	p.Do("kernel", func() {
 		p.Ops(100)
 		if b.panicOn[w.WorkloadName()] {
+			b.panics.Add(1)
 			panic("kernel bug")
 		}
 	})
@@ -138,6 +145,58 @@ func TestPanickingCellExecute(t *testing.T) {
 	}
 	if st := s.cells.stats(); st.Inflight != 0 || st.Cells != 0 {
 		t.Errorf("cell store after failures = %+v, want nothing inflight or resolved", st)
+	}
+}
+
+// TestPanickingCellFailsSweep: one generated cell whose kernel panics ends
+// its sweep's stream with a single error frame naming the cell, and no
+// report. The server keeps answering, the failed cell leaves nothing in the
+// store (neither a flight nor a resolved entry), and a repeat of the sweep
+// executes that cell again rather than reading a cached failure.
+func TestPanickingCellFailsSweep(t *testing.T) {
+	bench := &faultBench{name: "993.panic_r", panicOn: map[string]bool{"gen.s7.2": true}}
+	s := newTestServer(t, bench)
+	body := `{"benchmarks":["993.panic_r"],"per_benchmark":4,"seed":7,"k":1,"config":{"reps":1}}`
+	opts, err := runOptions(report.RunConfig{Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cellKey("993.panic_r", "gen.s7.2", opts.ReportConfig())
+	for attempt := 1; attempt <= 2; attempt++ {
+		rec := postSweep(t, s, body, false)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("attempt %d: status %d\n%s", attempt, rec.Code, rec.Body.String())
+		}
+		frames := sweepFrames(t, rec.Body.String())
+		if len(frames["error"]) != 1 || len(frames["report"]) != 0 {
+			t.Fatalf("attempt %d: %d error and %d report frames, want 1 and 0:\n%s",
+				attempt, len(frames["error"]), len(frames["report"]), rec.Body.String())
+		}
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		if last := lines[len(lines)-1]; last != string(frames["error"][0]) {
+			t.Errorf("attempt %d: stream ends with %s, want the error frame", attempt, last)
+		}
+		var e sweepErrorEvent
+		if err := json.Unmarshal(frames["error"][0], &e); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(e.Error, "993.panic_r/gen.s7.2") || !strings.Contains(e.Error, "kernel bug") {
+			t.Errorf("attempt %d: error frame %q, want it to name 993.panic_r/gen.s7.2 and kernel bug", attempt, e.Error)
+		}
+		if got := bench.panics.Load(); got != int64(attempt) {
+			t.Errorf("attempt %d: panicking cell executed %d times, want %d", attempt, got, attempt)
+		}
+		if rec, doc := doJSON(t, s.Handler(), "GET", "/healthz", ""); rec.Code != http.StatusOK {
+			t.Errorf("attempt %d: healthz after a panic = %d %v", attempt, rec.Code, doc)
+		}
+		rec, doc := doJSON(t, s.Handler(), "GET", "/v1/cache", "")
+		cache, _ := doc["cache"].(map[string]any)
+		if rec.Code != http.StatusOK || cache["inflight"] != float64(0) {
+			t.Errorf("attempt %d: /v1/cache = %d %v, want nothing inflight", attempt, rec.Code, doc)
+		}
+		if _, ok := s.cells.allResolved([]string{key}); ok {
+			t.Errorf("attempt %d: the failed cell has a cache entry", attempt)
+		}
 	}
 }
 
